@@ -8,7 +8,7 @@
 // reads should scale with threads on a multi-core host.
 //
 // Usage: micro_engines [engine=lsm|btree|hashkv|volt] [op=put|get|scan]
-//                      [mode=cache_scan|format|memtable_shards]
+//                      [mode=cache_scan|format]
 //                      [out=BENCH_engines.json] [build=<label>]
 //
 // mode=cache_scan runs the read-path sweep instead of the engine sweep:
@@ -611,90 +611,6 @@ void SweepFormat(const SweepConfig& config) {
   }
 }
 
-// mode=memtable_shards: the sharded-memtable sweep. Shard counts
-// {1,4,8,16} x the thread sweep x put/get/scan against a
-// memtable-resident working set: puts measure the parallel group-commit
-// apply (each put row carries how many groups took the shard-claim
-// path), gets the per-shard skiplist routing, scans the k-way merge over
-// the shard runs. shards=1 is the pre-shard engine baseline.
-void SweepMemtableShards(const SweepConfig& config) {
-  const std::string dir = "/tmp/apmbench-micro-shards";
-  for (int shards : {1, 4, 8, 16}) {
-    for (int threads : config.thread_counts) {
-      Env::Default()->RemoveDirRecursively(dir);
-      lsm::Options options;
-      options.dir = dir;
-      // Big write buffer: the working set stays memtable-resident so the
-      // sweep measures the shard structures, not flush and compaction.
-      options.memtable_bytes = 256 * 1024 * 1024;
-      options.memtable_shards = shards;
-      std::unique_ptr<lsm::DB> db;
-      if (!lsm::DB::Open(options, &db).ok()) return;
-      const uint64_t preload = config.preload;
-      for (uint64_t i = 0; i < preload; i++) {
-        db->Put(MakeKey(i), MakeValue());
-      }
-
-      auto report = [&](const char* op, const MeasureResult& r,
-                        int64_t parallel_groups) {
-        printf("lsm shards=%-3d %-5s %4d threads  %12.0f ops/s\n", shards,
-               op, threads, r.ops_per_sec);
-        fflush(stdout);
-        auto& row = config.out->AddRow()
-                        .Str("engine", "lsm")
-                        .Str("mode", "memtable_shards")
-                        .Str("op", op)
-                        .Int("threads", threads)
-                        .Int("memtable_shards", shards)
-                        .Num("ops_per_sec", r.ops_per_sec)
-                        .Int("total_ops", static_cast<int64_t>(r.total_ops))
-                        .Num("seconds", r.elapsed);
-        if (parallel_groups >= 0) {
-          row.Int("parallel_apply_groups", parallel_groups);
-        }
-        if (!config.build_label.empty()) row.Str("build", config.build_label);
-      };
-
-      if (WantOp(config, "get")) {
-        auto r = Measure(threads, config.seconds, [&](int t) {
-          auto rng = std::make_shared<Random>(7000 + t);
-          return [&, rng]() {
-            std::string value;
-            db->Get(lsm::ReadOptions(), MakeKey(rng->Uniform(preload)),
-                    &value);
-          };
-        });
-        report("get", r, -1);
-      }
-      if (WantOp(config, "scan")) {
-        auto r = Measure(threads, config.seconds, [&](int t) {
-          auto rng = std::make_shared<Random>(8000 + t);
-          return [&, rng]() {
-            std::vector<std::pair<std::string, std::string>> out;
-            db->Scan(lsm::ReadOptions(), MakeKey(rng->Uniform(preload)), 50,
-                     &out);
-          };
-        });
-        report("scan", r, -1);
-      }
-      if (WantOp(config, "put")) {
-        const uint64_t groups_before = db->GetStats().parallel_apply_groups;
-        // Disjoint fresh key ranges per thread, above the preload set.
-        auto r = Measure(threads, config.seconds, [&](int t) {
-          auto next = std::make_shared<uint64_t>(
-              preload + (static_cast<uint64_t>(t + 1) << 32));
-          return [&, next]() { db->Put(MakeKey((*next)++), MakeValue()); };
-        });
-        report("put", r,
-               static_cast<int64_t>(db->GetStats().parallel_apply_groups -
-                                    groups_before));
-      }
-      db.reset();
-      Env::Default()->RemoveDirRecursively(dir);
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -710,7 +626,7 @@ int main(int argc, char** argv) {
     if (!props.ParseArg(argv[i]).ok()) {
       fprintf(stderr,
               "usage: %s [engine=lsm|btree|hashkv|volt] [op=put|get|scan] "
-              "[mode=cache_scan|format|memtable_shards] [out=<path>] "
+              "[mode=cache_scan|format] [out=<path>] "
               "[build=<label>]\n",
               argv[0]);
       return 2;
@@ -733,8 +649,6 @@ int main(int argc, char** argv) {
     SweepCacheScan(config);
   } else if (mode == "format") {
     SweepFormat(config);
-  } else if (mode == "memtable_shards") {
-    SweepMemtableShards(config);
   } else {
     if (only_engine.empty() || only_engine == "lsm") SweepLsm(config);
     if (only_engine.empty() || only_engine == "btree") SweepBtree(config);

@@ -1,7 +1,6 @@
 #ifndef APMBENCH_COMMON_GROUP_COMMIT_H_
 #define APMBENCH_COMMON_GROUP_COMMIT_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -13,75 +12,6 @@
 #include "common/status.h"
 
 namespace apmbench {
-
-/// Lock-free partition-claim bitmap for one group-commit apply fan-out:
-/// a committed group's work is split into `num_partitions` disjoint
-/// sub-tasks (e.g. one per memtable shard), and the group's writer
-/// threads — leader and followers alike — race to claim them, each
-/// partition going to exactly one thread. The thread whose Finish() call
-/// retires the last partition learns it was last (return value true) and
-/// publishes the group; the acquire/release pair on the internal counter
-/// guarantees it observes every other claimer's writes first.
-///
-/// Reusable per group: Reset() rearms the set. Not reusable while a
-/// fan-out is in flight.
-class ShardClaimSet {
- public:
-  static constexpr int kMaxPartitions = 64;
-
-  explicit ShardClaimSet(int num_partitions = 0) { Reset(num_partitions); }
-
-  ShardClaimSet(const ShardClaimSet&) = delete;
-  ShardClaimSet& operator=(const ShardClaimSet&) = delete;
-
-  /// Rearms the set for `num_partitions` sub-tasks (clamped to
-  /// [0, kMaxPartitions]). Callers must ensure no Claim/Finish race with
-  /// the Reset itself.
-  void Reset(int num_partitions) {
-    if (num_partitions < 0) num_partitions = 0;
-    if (num_partitions > kMaxPartitions) num_partitions = kMaxPartitions;
-    num_partitions_ = num_partitions;
-    claimed_.store(0, std::memory_order_relaxed);
-    remaining_.store(num_partitions, std::memory_order_relaxed);
-  }
-
-  int num_partitions() const { return num_partitions_; }
-
-  /// Claims the lowest unclaimed partition into `*partition`; returns
-  /// false once every partition is claimed. Safe to call from any number
-  /// of threads.
-  bool Claim(int* partition) {
-    uint64_t bits = claimed_.load(std::memory_order_relaxed);
-    for (;;) {
-      uint64_t unclaimed = ~bits;
-      if (num_partitions_ < kMaxPartitions) {
-        unclaimed &= (uint64_t{1} << num_partitions_) - 1;
-      }
-      if (unclaimed == 0) return false;
-      const int bit = __builtin_ctzll(unclaimed);
-      if (claimed_.compare_exchange_weak(bits, bits | (uint64_t{1} << bit),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-        *partition = bit;
-        return true;
-      }
-      // `bits` was refreshed by the failed CAS; retry against it.
-    }
-  }
-
-  /// Marks one claimed partition's work complete. Returns true for
-  /// exactly one caller: the one that retired the final partition, which
-  /// (by the acquire side of the RMW) observes every earlier Finish
-  /// caller's writes and should publish the group.
-  bool Finish() {
-    return remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1;
-  }
-
- private:
-  std::atomic<uint64_t> claimed_{0};
-  std::atomic<int> remaining_{0};
-  int num_partitions_ = 0;
-};
 
 /// Group-committed append log: many threads append framed records, one
 /// leader drains everything queued and issues a single WritableFile::Append

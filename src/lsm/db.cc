@@ -56,35 +56,17 @@ DB::DB(const Options& options) : options_(options) {
   // The arena charges whole blocks up front, so a memtable must span
   // several blocks before the flush trigger can fire — otherwise a
   // memtable_bytes smaller than one block degenerates into a flush per
-  // write. Each shard has its own arena and the flush trigger compares
-  // the *sum*, so the divisor scales with the shard count to keep the
-  // overshoot bound (one block per shard) proportional to
-  // memtable_bytes. Clamp rather than reject the combination: tiny
-  // write buffers are a legitimate way to force flush churn.
-  //
-  // The shard count itself is budget-aware first: every shard's arena
-  // charges at least one 256-byte block, so the rotation quantum is
-  // shards * max(256, block_bytes). Keeping >= 1KiB of budget per shard
-  // bounds that quantum at memtable_bytes / 4 — without this, a 2KiB
-  // write buffer split 8 ways rotates (and flushes) every few puts.
-  // Halving preserves the power-of-two contract.
-  while (options_.memtable_shards > 1 &&
-         options_.memtable_bytes <
-             static_cast<size_t>(options_.memtable_shards) * 1024) {
-    options_.memtable_shards /= 2;
-  }
-  const size_t shard_count =
-      static_cast<size_t>(std::max(1, options_.memtable_shards));
-  if (options_.arena_block_bytes >
-      options_.memtable_bytes / (4 * shard_count)) {
-    options_.arena_block_bytes =
-        std::max<size_t>(256, options_.memtable_bytes / (4 * shard_count));
-  }
+  // write. Capping the block at a quarter of the budget keeps the
+  // overshoot bound (one block) proportional to memtable_bytes. Clamp
+  // rather than reject the combination: tiny write buffers are a
+  // legitimate way to force flush churn.
+  options_.arena_block_bytes = std::min(
+      options_.arena_block_bytes,
+      std::max<size_t>(256, options_.memtable_bytes / 4));
   cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
                                         options_.block_cache_shard_bits);
   versions_ = std::make_unique<VersionSet>(options_, env_);
-  mem_ = std::make_shared<MemTable>(options_.arena_block_bytes,
-                                    options_.memtable_shards);
+  mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
   rate_limiter_ = options_.rate_limiter;
   if (rate_limiter_ == nullptr && options_.rate_limit_bytes_per_sec > 0) {
     rate_limiter_ =
@@ -105,18 +87,6 @@ Status DB::Open(const Options& options, std::unique_ptr<DB>* db) {
     return Status::InvalidArgument(
         "Options::format_version must be 1 or 2, got " +
         std::to_string(options.format_version));
-  }
-  // Power-of-two shard counts keep shard routing a mask of the key hash
-  // and the claim bitmap one word; reject anything else loudly instead of
-  // clamping, so a miswritten config cannot silently run with a different
-  // concurrency shape than the operator intended.
-  if (options.memtable_shards < 1 ||
-      options.memtable_shards > MemTable::kMaxShards ||
-      (options.memtable_shards & (options.memtable_shards - 1)) != 0) {
-    return Status::InvalidArgument(
-        "Options::memtable_shards must be a power of two in [1, " +
-        std::to_string(MemTable::kMaxShards) + "], got " +
-        std::to_string(options.memtable_shards));
   }
   std::unique_ptr<DB> impl(new DB(options));
   APM_RETURN_IF_ERROR(impl->OpenImpl());
@@ -327,8 +297,7 @@ Status DB::ReplayWals() {
     edit.has_log_number = true;
     edit.log_number = wal_number_;
     APM_RETURN_IF_ERROR(versions_->LogAndApply(edit));
-    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes,
-                                      options_.memtable_shards);
+    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
     num_flushes_++;
   }
   for (uint64_t number : wal_numbers) {
@@ -460,8 +429,7 @@ Status DB::MakeRoomForWrite(std::unique_lock<std::mutex>* lock) {
     imm_ = std::move(mem_);
     imm_wal_number_ = wal_number_;
     wal_number_ = new_wal_number;
-    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes,
-                                      options_.memtable_shards);
+    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
     RefreshViewLocked();
     cv_.notify_all();
   }
@@ -521,58 +489,6 @@ void DB::ApplyBatchRep(MemTable* mem, const Slice& rep, uint64_t base_seq) {
   }
 }
 
-void DB::ApplyShardOps(MemTable* mem, int shard, const Slice& rep,
-                       uint64_t base_seq) {
-  // Each claimer re-walks the whole rep and keeps only its shard's ops:
-  // zero-copy and allocation-free, and the N passes run on up to N
-  // threads, so wall-clock is one decode pass plus the shard's inserts.
-  const int num_shards = mem->num_shards();
-  Slice ops = rep;
-  uint64_t seq = base_seq;
-  while (!ops.empty()) {
-    uint8_t op_type = static_cast<uint8_t>(ops[0]);
-    ops.RemovePrefix(1);
-    Slice key, value;
-    if (!GetLengthPrefixedSlice(&ops, &key) ||
-        !GetLengthPrefixedSlice(&ops, &value)) {
-      break;  // unreachable: reps are validated before queueing
-    }
-    if (MemTable::ShardOf(key, num_shards) == static_cast<uint32_t>(shard)) {
-      if (op_type == kWalPut) {
-        mem->PutToShard(shard, key, value, seq);
-      } else {
-        mem->DeleteToShard(shard, key, seq);
-      }
-    }
-    seq++;
-  }
-}
-
-void DB::HelpApplyGroup(const std::shared_ptr<GroupApply>& group) {
-  {
-    // Nothing reaches a skip list before the group's WAL record is
-    // written: the memtable must never run ahead of the log, or a crash
-    // could surface acknowledged-but-unlogged entries to readers.
-    std::unique_lock<std::mutex> lock(group->mu);
-    while (!group->wal_done) group->cv.wait(lock);
-    if (!group->wal_status.ok()) return;
-  }
-  int shard = 0;
-  while (group->claims.Claim(&shard)) {
-    ApplyShardOps(group->mem, shard, Slice(group->rep), group->base_seq);
-    if (group->claims.Finish()) {
-      // Every shard is in. The release store (paired with readers'
-      // acquire loads) publishes the whole group at once: Get/Scan cap
-      // their memtable visibility at applied_seq_, so no reader ever
-      // observes a batch applied to some shards but not others.
-      applied_seq_.store(group->last_seq, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(group->mu);
-      group->all_applied = true;
-      group->cv.notify_all();
-    }
-  }
-}
-
 Status DB::Write(const WriteBatch& batch) {
   if (batch.Count() == 0) return Status::OK();
   // Reject malformed batches before a sequence number is consumed or a
@@ -584,19 +500,7 @@ Status DB::Write(const WriteBatch& batch) {
   std::unique_lock<std::mutex> lock(mu_);
   if (closed_) return Status::IOError("db closed");
   writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) {
-    if (w.group != nullptr) {
-      // Our group's leader finished the sequence allocation and asked the
-      // group to apply its per-shard sub-batches in parallel; help
-      // outside mu_, then go back to waiting for the leader's verdict.
-      std::shared_ptr<GroupApply> group = std::move(w.group);
-      lock.unlock();
-      HelpApplyGroup(group);
-      lock.lock();
-      continue;
-    }
-    w.cv.wait(lock);
-  }
+  while (!w.done && &w != writers_.front()) w.cv.wait(lock);
   if (w.done) return w.status;  // a leader committed this batch for us
 
   // This thread is the leader: it stays at the front of the queue until
@@ -630,55 +534,21 @@ Status DB::Write(const WriteBatch& batch) {
     LogWriter* wal = wal_.get();
     const uint64_t last_seq = base_seq + group_count - 1;
 
-    // The parallel shard-claim apply pays off only when there are both
-    // shards to split across and followers to help; a single-writer
-    // group (the 1-thread benchmark case) takes the serial path below,
-    // which routes per key inside MemTable::Put and allocates nothing —
-    // identical in behavior and cost to the pre-shard leader apply.
-    const bool parallel = mem->num_shards() > 1 && group_writers > 1;
-    std::shared_ptr<GroupApply> group;
-    if (parallel) {
-      group = std::make_shared<GroupApply>();
-      group->rep = std::move(group_rep);
-      group->base_seq = base_seq;
-      group->last_seq = last_seq;
-      group->mem = mem;
-      group->claims.Reset(mem->num_shards());
-      for (Writer* candidate : writers_) {
-        if (candidate == &w) continue;
-        candidate->group = group;
-        candidate->cv.notify_one();
-        if (candidate == last_writer) break;
-      }
-    }
-
     // The expensive part — one WAL append (and at most one fsync) for the
     // whole group, plus the memtable inserts — runs outside mu_. Readers
     // are already lock-free; this also unblocks Flush/GetStats/background
     // work for the duration of the I/O.
     lock.unlock();
     s = wal->AddRecord(record, options_.sync_writes);
-    if (parallel) {
-      {
-        std::lock_guard<std::mutex> group_lock(group->mu);
-        group->wal_done = true;
-        group->wal_status = s;
-      }
-      group->cv.notify_all();
-      if (s.ok()) {
-        // Join the fan-out; whichever thread retires the last shard
-        // publishes applied_seq_ (WAL order == seq order == publication
-        // order, since the next leader cannot start until this group is
-        // popped below). Then wait out any follower still applying.
-        HelpApplyGroup(group);
-        std::unique_lock<std::mutex> group_lock(group->mu);
-        while (!group->all_applied) group->cv.wait(group_lock);
-      }
-    } else if (s.ok()) {
+    if (s.ok()) {
+      // The memtable never runs ahead of the log: nothing is inserted
+      // before the group's WAL record is written.
       ApplyBatchRep(mem, Slice(group_rep), base_seq);
       // Publish the group to readers only once every entry is in: readers
       // cap their memtable visibility at applied_seq_, which keeps both
-      // batches and whole groups atomic under concurrent Get/Scan.
+      // batches and whole groups atomic under concurrent Get/Scan. WAL
+      // order == seq order == publication order, since the next leader
+      // cannot start until this group is popped below.
       applied_seq_.store(last_seq, std::memory_order_release);
     }
     lock.lock();
@@ -690,7 +560,6 @@ Status DB::Write(const WriteBatch& batch) {
     }
     write_groups_++;
     grouped_writes_ += group_writers;
-    if (parallel && s.ok()) parallel_apply_groups_++;
   }
 
   // Pop the group (leader included), report the shared status, promote
@@ -1487,8 +1356,7 @@ Status DB::Flush() {
     imm_ = std::move(mem_);
     imm_wal_number_ = wal_number_;
     wal_number_ = new_wal_number;
-    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes,
-                                      options_.memtable_shards);
+    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
     RefreshViewLocked();
     cv_.notify_all();
   }
@@ -1617,7 +1485,6 @@ DB::Stats DB::GetStats() {
   stats.wal_replayed_records = wal_replayed_records_;
   stats.write_groups = write_groups_;
   stats.grouped_writes = grouped_writes_;
-  stats.parallel_apply_groups = parallel_apply_groups_;
   stats.pending_writers = writers_.size();
   for (int level = 0; level < versions_->NumLevels(); level++) {
     stats.files_per_level.push_back(versions_->NumFiles(level));

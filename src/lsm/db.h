@@ -16,7 +16,6 @@
 
 #include "common/env.h"
 #include "common/fanout.h"
-#include "common/group_commit.h"
 #include "common/rate_limiter.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -63,12 +62,9 @@ class WriteBatch {
 /// Writers go through a LevelDB-style writer queue: concurrent
 /// Put/Delete/Write callers enqueue, one leader merges the queued batches
 /// into a single WAL record and performs the single append + fsync
-/// *outside* the mutex. With Options::memtable_shards > 1 the memtable
-/// apply is then parallel: leader and followers race through a per-group
-/// shard-claim bitmap (ShardClaimSet), each applying the claimed shard's
-/// sub-batch to that shard's skip list, and the last finisher publishes
-/// the group to readers; with one shard (or a single-writer group) the
-/// leader applies serially, exactly the pre-shard write path.
+/// *outside* the mutex, then applies the whole group to the memtable's
+/// single skip list and publishes it to readers with one release store of
+/// the group's last sequence number.
 /// Readers never take the writer mutex: Get/Scan/NewSnapshotIterator copy
 /// a published {mem, imm, tables} view (a pointer copy under a dedicated
 /// latch, never held across I/O) and filter the live memtable by the last
@@ -122,10 +118,6 @@ class DB {
     /// batching happened.
     uint64_t write_groups = 0;
     uint64_t grouped_writes = 0;
-    /// Write groups whose memtable apply ran through the parallel
-    /// shard-claim path (memtable_shards > 1 and more than one writer in
-    /// the group).
-    uint64_t parallel_apply_groups = 0;
     /// Writers currently queued (including any in-flight leader).
     uint64_t pending_writers = 0;
     /// Write admission control (see MakeRoomForWrite): time and write
@@ -245,28 +237,6 @@ class DB {
     bool manual = false;         // a CompactAll request
   };
 
-  /// Shared state of one parallel group apply, created by the leader and
-  /// handed to every follower in the group. Owns the merged rep so
-  /// helpers can keep applying after the leader's stack frame moves on.
-  struct GroupApply {
-    std::string rep;  // merged ops of the whole group
-    uint64_t base_seq = 0;
-    uint64_t last_seq = 0;
-    MemTable* mem = nullptr;
-    ShardClaimSet claims;
-    std::mutex mu;
-    std::condition_variable cv;
-    /// Set (with wal_status) once the leader's WAL append returns;
-    /// helpers apply nothing before that, so the memtable never runs
-    /// ahead of the log.
-    bool wal_done = false;
-    Status wal_status;
-    /// Set by whichever thread retires the final shard, after it
-    /// publishes applied_seq_; the leader waits on it before popping the
-    /// group.
-    bool all_applied = false;
-  };
-
   /// One queued writer; the front of `writers_` is the current leader.
   struct Writer {
     explicit Writer(const WriteBatch* b) : batch(b) {}
@@ -274,9 +244,6 @@ class DB {
     bool done = false;
     Status status;
     std::condition_variable cv;
-    /// Non-null while this follower's group wants apply help; the
-    /// follower clears it after one HelpApplyGroup round.
-    std::shared_ptr<GroupApply> group;
   };
 
   /// A consistent, atomically published snapshot of the structures a read
@@ -311,25 +278,10 @@ class DB {
   static Status ValidateBatch(const WriteBatch& batch);
 
   /// Decodes `rep` (a validated concatenation of batch ops) into `mem`
-  /// starting at `base_seq`. Called by the group leader without mu_ —
-  /// the serial apply path (memtable_shards == 1, or a group with a
-  /// single writer).
+  /// starting at `base_seq`. Called by the group leader without mu_; the
+  /// leader is the memtable's only writer.
   static void ApplyBatchRep(MemTable* mem, const Slice& rep,
                             uint64_t base_seq);
-
-  /// Applies the ops of `rep` that route to `shard`, walking the rep with
-  /// a running sequence number so each op keeps its globally assigned
-  /// seq. The caller must hold the shard's claim (single writer per skip
-  /// list). Requires mu_ NOT held.
-  static void ApplyShardOps(MemTable* mem, int shard, const Slice& rep,
-                            uint64_t base_seq);
-
-  /// One thread's share of a parallel group apply: wait for the WAL
-  /// append, then claim-and-apply shards until none remain. The thread
-  /// that retires the last shard publishes applied_seq_ and signals
-  /// all_applied. Called by the leader and by woken followers, never
-  /// with mu_ held.
-  void HelpApplyGroup(const std::shared_ptr<GroupApply>& group);
 
   /// Republishes the reader view from mem_/imm_/tables_. Requires mu_.
   void RefreshViewLocked();
@@ -452,7 +404,6 @@ class DB {
   uint64_t wal_replayed_records_ = 0;
   uint64_t write_groups_ = 0;
   uint64_t grouped_writes_ = 0;
-  uint64_t parallel_apply_groups_ = 0;
   uint64_t num_flushes_ = 0;
   uint64_t num_compactions_ = 0;
   uint64_t num_subcompactions_ = 0;

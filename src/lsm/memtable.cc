@@ -1,6 +1,5 @@
 #include "lsm/memtable.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -41,43 +40,8 @@ class LookupKey {
 
 }  // namespace
 
-MemTable::MemTable(size_t arena_block_bytes, int num_shards) {
-  assert(num_shards >= 1 && num_shards <= kMaxShards &&
-         (num_shards & (num_shards - 1)) == 0);
-  num_shards = std::max(1, num_shards);
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; i++) {
-    shards_.push_back(std::make_unique<Shard>(arena_block_bytes));
-  }
-}
-
-uint32_t MemTable::ShardOf(const Slice& key, int num_shards) {
-  if (num_shards <= 1) return 0;
-  // Accumulate 8-byte words with a golden-ratio multiply, then run the
-  // splitmix64 finalizer (the same mix as common/cache.h CacheKeyHash) so
-  // the top bits used for shard selection are well distributed even for
-  // APM-style keys that differ only in a numeric suffix.
-  uint64_t x = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key.size());
-  const char* p = key.data();
-  size_t n = key.size();
-  while (n >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    x = (x ^ word) * 0x9e3779b97f4a7c15ULL;
-    p += 8;
-    n -= 8;
-  }
-  uint64_t tail = 0;
-  std::memcpy(&tail, p, n);
-  x ^= tail;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<uint32_t>(x >> 32) &
-         static_cast<uint32_t>(num_shards - 1);
-}
+MemTable::MemTable(size_t arena_block_bytes)
+    : arena_(arena_block_bytes), table_(&arena_) {}
 
 MemTable::DecodedEntry MemTable::DecodeEntry(const char* p) {
   DecodedEntry entry;
@@ -115,13 +79,12 @@ int MemTable::EntryCompare::operator()(const char* a, const char* b) const {
   return 0;
 }
 
-void MemTable::Add(int shard, const Slice& key, const Slice& value,
-                   uint64_t seq, bool tombstone) {
-  Shard& s = *shards_[static_cast<size_t>(shard)];
+void MemTable::Add(const Slice& key, const Slice& value, uint64_t seq,
+                   bool tombstone) {
   const size_t vlen = tombstone ? 0 : value.size();
   const size_t bytes = VarintLength(key.size()) + key.size() + 8 + 1 +
                        VarintLength(vlen) + vlen;
-  char* buf = s.arena.Allocate(bytes);
+  char* buf = arena_.Allocate(bytes);
   char* p = EncodeVarint32(buf, static_cast<uint32_t>(key.size()));
   std::memcpy(p, key.data(), key.size());
   p += key.size();
@@ -130,33 +93,22 @@ void MemTable::Add(int shard, const Slice& key, const Slice& value,
   *p++ = tombstone ? static_cast<char>(kFlagTombstone) : 0;
   p = EncodeVarint32(p, static_cast<uint32_t>(vlen));
   if (vlen > 0) std::memcpy(p, value.data(), vlen);
-  s.table.Insert(buf, 0);
+  table_.Insert(buf, 0);
 }
 
 void MemTable::Put(const Slice& key, const Slice& value, uint64_t seq) {
-  Add(RouteShard(key), key, value, seq, /*tombstone=*/false);
+  Add(key, value, seq, /*tombstone=*/false);
 }
 
 void MemTable::Delete(const Slice& key, uint64_t seq) {
-  Add(RouteShard(key), key, Slice(), seq, /*tombstone=*/true);
-}
-
-void MemTable::PutToShard(int shard, const Slice& key, const Slice& value,
-                          uint64_t seq) {
-  Add(shard, key, value, seq, /*tombstone=*/false);
-}
-
-void MemTable::DeleteToShard(int shard, const Slice& key, uint64_t seq) {
-  Add(shard, key, Slice(), seq, /*tombstone=*/true);
+  Add(key, Slice(), seq, /*tombstone=*/true);
 }
 
 MemTable::GetResult MemTable::Get(const Slice& key, std::string* value,
                                   uint64_t* seq, uint64_t seq_limit) const {
   // The newest version with sequence <= seq_limit is the first entry at or
-  // after (key, seq_limit) in (key asc, seq desc) order — and every
-  // version of the key lives in its one shard.
-  const Shard& shard = *shards_[static_cast<size_t>(RouteShard(key))];
-  Table::Iterator iter(&shard.table);
+  // after (key, seq_limit) in (key asc, seq desc) order.
+  Table::Iterator iter(&table_);
   LookupKey lookup(key, seq_limit);
   iter.Seek(lookup.entry());
   if (!iter.Valid()) return GetResult::kAbsent;
@@ -166,18 +118,6 @@ MemTable::GetResult MemTable::Get(const Slice& key, std::string* value,
   if (entry.tombstone) return GetResult::kDeleted;
   value->assign(entry.value.data(), entry.value.size());
   return GetResult::kFound;
-}
-
-size_t MemTable::ApproximateMemoryUsage() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->arena.MemoryUsage();
-  return total;
-}
-
-size_t MemTable::EntryCount() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->table.size();
-  return total;
 }
 
 class MemTableIterator final : public Iterator {
@@ -222,22 +162,7 @@ class MemTableIterator final : public Iterator {
 };
 
 std::unique_ptr<Iterator> MemTable::NewIterator(uint64_t seq_limit) const {
-  if (shards_.size() == 1) {
-    // Single shard: the plain skip-list cursor, no merge layer — the
-    // memtable_shards=1 configuration behaves exactly like the pre-shard
-    // engine.
-    return std::make_unique<MemTableIterator>(&shards_[0]->table, seq_limit);
-  }
-  // Shard runs are disjoint by key (a key's every version lives in its
-  // hash shard), so the k-way merge yields the same (key asc, seq desc)
-  // stream a single list would.
-  std::vector<std::unique_ptr<Iterator>> runs;
-  runs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    runs.push_back(
-        std::make_unique<MemTableIterator>(&shard->table, seq_limit));
-  }
-  return NewMergingIterator(std::move(runs));
+  return std::make_unique<MemTableIterator>(&table_, seq_limit);
 }
 
 }  // namespace apmbench::lsm

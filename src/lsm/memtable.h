@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/arena.h"
 #include "common/skiplist.h"
@@ -14,26 +13,19 @@
 namespace apmbench::lsm {
 
 /// In-memory write buffer, as in Cassandra's memtable / HBase's memstore:
-/// hash-partitioned into `num_shards` shards, each an insert-only skip
-/// list backed by its own Arena. Entries are keyed by (user key, sequence
-/// number descending), so every Put/Delete inserts a fresh node and
-/// nothing is ever overwritten in place — the LevelDB memtable layout.
+/// one insert-only skip list backed by one Arena. Entries are keyed by
+/// (user key, sequence number descending), so every Put/Delete inserts a
+/// fresh node and nothing is ever overwritten in place — the LevelDB
+/// memtable layout.
 ///
-/// Sharding exists for write concurrency: each skip list admits a single
-/// writer concurrent with lock-free readers, so with N shards up to N
-/// threads can insert at once as long as each shard has at most one
-/// writer at a time (the write path's shard-claim protocol guarantees
-/// that; see docs/concurrency.md). With num_shards == 1 the structure is
-/// exactly the pre-shard single-skiplist memtable: Get, Put, and
-/// NewIterator take the same single-list code paths with no routing or
-/// merge overhead.
+/// The skip list admits a single writer concurrent with lock-free readers;
+/// the DB's write-group leader is that writer (see docs/concurrency.md).
 ///
-/// Entries and skip-list nodes are bump-allocated from the shard's Arena:
-/// a Put performs zero heap allocations of its own, and
-/// ApproximateMemoryUsage() is the exact number of bytes reserved across
-/// all shard arenas, which is what the flush trigger compares against
-/// Options::memtable_bytes. Each entry is encoded contiguously in arena
-/// memory as
+/// Entries and skip-list nodes are bump-allocated from the Arena: a Put
+/// performs zero heap allocations of its own, and ApproximateMemoryUsage()
+/// is the exact number of bytes the arena has reserved, which is what the
+/// flush trigger compares against Options::memtable_bytes. Each entry is
+/// encoded contiguously in arena memory as
 ///
 ///   varint32 klen | key | fixed64 seq | flags u8 | varint32 vlen | value
 ///
@@ -47,59 +39,35 @@ namespace apmbench::lsm {
 class MemTable {
  public:
   static constexpr uint64_t kMaxSeq = UINT64_MAX;
-  /// Shard-claim bitmaps are one 64-bit word, and far fewer shards than
-  /// this already exhaust the parallelism of a write group.
-  static constexpr int kMaxShards = 64;
 
-  explicit MemTable(size_t arena_block_bytes = Arena::kDefaultBlockBytes,
-                    int num_shards = 1);
+  explicit MemTable(size_t arena_block_bytes = Arena::kDefaultBlockBytes);
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
-  /// Shard a user key routes to: the top bits of a splitmix64-style mix
-  /// over the key bytes (the same finalizer as common/cache.h's
-  /// CacheKeyHash) masked down to the shard count, which must be a power
-  /// of two. Stable across processes — but never persisted, so changing
-  /// the shard count between runs is safe.
-  static uint32_t ShardOf(const Slice& key, int num_shards);
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
   void Put(const Slice& key, const Slice& value, uint64_t seq);
   void Delete(const Slice& key, uint64_t seq);
-
-  /// Direct-to-shard variants for the parallel group apply: the caller
-  /// has already routed `key` (ShardOf) and owns exclusive write access
-  /// to `shard` for the duration of the group.
-  void PutToShard(int shard, const Slice& key, const Slice& value,
-                  uint64_t seq);
-  void DeleteToShard(int shard, const Slice& key, uint64_t seq);
 
   enum class GetResult { kFound, kDeleted, kAbsent };
   /// Looks up the newest version of `key` with sequence <= `seq_limit`;
   /// on kFound, `*value` receives the stored value. `*seq` (optional)
-  /// receives the entry's write sequence number on any hit. Only the
-  /// key's own shard is searched.
+  /// receives the entry's write sequence number on any hit.
   GetResult Get(const Slice& key, std::string* value, uint64_t* seq = nullptr,
                 uint64_t seq_limit = kMaxSeq) const;
 
-  /// Exact bytes reserved across the shard arenas (entry bytes plus
-  /// skip-list nodes), compared against Options::memtable_bytes by the
-  /// flush trigger. Safe to read from any thread.
-  size_t ApproximateMemoryUsage() const;
+  /// Exact bytes reserved by the arena (entry bytes plus skip-list nodes),
+  /// compared against Options::memtable_bytes by the flush trigger. Safe
+  /// to read from any thread.
+  size_t ApproximateMemoryUsage() const { return arena_.MemoryUsage(); }
 
-  /// Number of stored entries across all shards. With multi-versioning
-  /// this counts every version, not distinct user keys.
-  size_t EntryCount() const;
+  /// Number of stored entries. With multi-versioning this counts every
+  /// version, not distinct user keys.
+  size_t EntryCount() const { return table_.size(); }
 
   /// Iterator over entries with sequence <= `seq_limit`, in (key asc, seq
   /// desc) order — a key with several versions appears newest-first, which
-  /// is exactly what DedupIterator expects. With one shard this is the
-  /// plain skip-list cursor; with several it k-way-merges the shard runs,
-  /// so flush, scan, and snapshot consumers see one sorted stream and the
-  /// on-disk contracts are untouched. Safe to use concurrently with the
-  /// (per-shard single) writers; the MemTable must outlive it.
+  /// is exactly what DedupIterator expects. Safe to use concurrently with
+  /// the single writer; the MemTable must outlive it.
   std::unique_ptr<Iterator> NewIterator(uint64_t seq_limit = kMaxSeq) const;
 
  private:
@@ -122,25 +90,13 @@ class MemTable {
 
   using Table = SkipList<const char*, char, EntryCompare>;
 
-  /// One hash partition: an arena and the skip list allocating from it.
-  struct Shard {
-    explicit Shard(size_t arena_block_bytes)
-        : arena(arena_block_bytes), table(&arena) {}
-    Arena arena;
-    Table table;
-  };
-
-  void Add(int shard, const Slice& key, const Slice& value, uint64_t seq,
+  void Add(const Slice& key, const Slice& value, uint64_t seq,
            bool tombstone);
-  int RouteShard(const Slice& key) const {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<int>(ShardOf(key, num_shards()));
-  }
 
   friend class MemTableIterator;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Arena arena_;
+  Table table_;
 };
 
 }  // namespace apmbench::lsm

@@ -38,30 +38,13 @@ struct Options {
   /// to an SSTable in the background.
   size_t memtable_bytes = 8 * 1024 * 1024;
 
-  /// Arena block size for memtable bump allocation. A memtable can
-  /// overshoot `memtable_bytes` by at most one arena block per shard
-  /// (plus one oversized value), so smaller blocks mean tighter flush
+  /// Arena block size for memtable bump allocation. A memtable has one
+  /// arena, so it can overshoot `memtable_bytes` by at most one arena
+  /// block (plus one oversized value): smaller blocks mean tighter flush
   /// accounting and larger blocks mean fewer mallocs per memtable.
-  /// DB::Open clamps this to `memtable_bytes / (4 * memtable_shards)`
-  /// (floor 256) so a tiny write buffer never degenerates into a flush
-  /// per write and the overshoot bound stays proportional to
-  /// memtable_bytes regardless of shard count.
+  /// DB::Open clamps this to `memtable_bytes / 4` (floor 256) so a tiny
+  /// write buffer never degenerates into a flush per write.
   size_t arena_block_bytes = 4 * 1024;
-
-  /// Number of hash-partitioned shards in the live memtable, each with
-  /// its own arena + skip list. With more than one shard, a write
-  /// group's per-shard sub-batches are applied concurrently by the
-  /// group-commit leader *and* its follower writers (RocksDB's
-  /// allow_concurrent_memtable_write shape), which is what lets put
-  /// throughput keep scaling past ~4 writer threads. 1 reproduces the
-  /// pre-shard single-skiplist write path exactly. Must be a power of
-  /// two in [1, 64]; DB::Open rejects other values, and halves the
-  /// effective count until every shard keeps >= 1KiB of `memtable_bytes`
-  /// (per-shard arena blocks are what the flush trigger charges, so a
-  /// tiny write buffer split too many ways would rotate every few
-  /// puts). On-disk format, WAL replay, and crash recovery are
-  /// unaffected: a flush merges all shards into ordinary SSTables.
-  int memtable_shards = 8;
 
   /// Target uncompressed size of one SSTable data block.
   size_t block_size = 4 * 1024;

@@ -131,7 +131,6 @@ Status HBaseStore::Open(const StoreOptions& options,
     db_options.block_restart_interval = options.lsm_block_restart_interval;
     db_options.prefix_bloom_length = options.lsm_prefix_bloom_length;
     db_options.arena_block_bytes = options.lsm_arena_block_bytes;
-    db_options.memtable_shards = options.lsm_memtable_shards;
     db_options.compression = options.lsm_compression;
     db_options.compaction_style = lsm::CompactionStyle::kLeveled;
     db_options.compaction_threads = options.lsm_compaction_threads;

@@ -73,10 +73,6 @@ struct StoreOptions {
   size_t lsm_prefix_bloom_length = 0;
   /// Arena block size for memtable bump allocation (lsm::Options).
   size_t lsm_arena_block_bytes = 4 * 1024;
-  /// Hash-partitioned shards in each node's live memtable; group commits
-  /// apply shards in parallel across the group's writer threads. Must be
-  /// a power of two in [1, 64] (lsm::Options::memtable_shards).
-  int lsm_memtable_shards = 8;
   /// SSTable block compression (the paper runs uncompressed; Section 8
   /// lists the compression tradeoff as future work).
   CompressionType lsm_compression = CompressionType::kNone;

@@ -244,10 +244,12 @@ TEST(GroupCommitLogTest, QueuedAppendsShareOneSync) {
   // The leader has appended and is blocked in Sync.
   WaitFor([&] { return gate.blocked() == 1; });
 
+  // Both followers stage their records in turn (appends counts enqueues;
+  // the log's mutex is free while the leader syncs), so the shared round
+  // writes them in a known order.
   std::thread follower_b([&] { ASSERT_TRUE(log.Append("b", true).ok()); });
+  WaitFor([&] { return log.GetStats().appends == 2; });
   std::thread follower_c([&] { ASSERT_TRUE(log.Append("c", true).ok()); });
-  // Both followers have staged their records (appends counts enqueues;
-  // the log's mutex is free while the leader syncs).
   WaitFor([&] { return log.GetStats().appends == 3; });
 
   gate.Open();
@@ -320,63 +322,6 @@ TEST(LsmConcurrencyTest, QueuedWritersShareOneWalSync) {
   for (const char* key : {"k1", "k2", "k3"}) {
     std::string value;
     EXPECT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
-  }
-}
-
-// Deterministic check of the parallel group apply: with a sharded
-// memtable, followers that queue behind a leader blocked in the WAL
-// fsync form a multi-writer group, and that group's memtable apply runs
-// through the shard-claim protocol (counted by parallel_apply_groups).
-TEST(LsmConcurrencyTest, QueuedWritersApplyShardsInParallel) {
-  testutil::ScopedTempDir dir("conc-lsm-shards");
-  GatedSyncEnv env(Env::Default());
-
-  lsm::Options options;
-  options.dir = dir.path();
-  options.env = &env;
-  options.sync_writes = true;
-  options.memtable_shards = 8;
-  std::unique_ptr<lsm::DB> db;
-  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
-
-  env.gate()->Close();
-  std::thread leader([&] { ASSERT_TRUE(db->Put("k1", "v1").ok()); });
-  WaitFor([&] { return env.gate()->blocked() == 1; });
-
-  // Two followers queue multi-key batches whose rows hash to different
-  // shards; the next leader merges them into one group and every group
-  // member helps apply it shard-by-shard.
-  auto batch_writer = [&](int id) {
-    lsm::WriteBatch batch;
-    for (int i = 0; i < 8; i++) {
-      batch.Put("w" + std::to_string(id) + ".row" + std::to_string(i),
-                "v" + std::to_string(id));
-    }
-    ASSERT_TRUE(db->Write(batch).ok());
-  };
-  std::thread follower_b([&] { batch_writer(2); });
-  std::thread follower_c([&] { batch_writer(3); });
-  WaitFor([&] { return db->GetStats().pending_writers >= 3; });
-
-  env.gate()->Open();
-  leader.join();
-  follower_b.join();
-  follower_c.join();
-
-  lsm::DB::Stats stats = db->GetStats();
-  EXPECT_EQ(stats.write_groups, 2u);  // leader's solo round + shared round
-  // The solo round is serial (one writer); the shared round has two
-  // writers and eight shards, so it must take the parallel path.
-  EXPECT_EQ(stats.parallel_apply_groups, 1u);
-
-  std::string value;
-  ASSERT_TRUE(db->Get(lsm::ReadOptions(), "k1", &value).ok());
-  for (int id : {2, 3}) {
-    for (int i = 0; i < 8; i++) {
-      std::string key = "w" + std::to_string(id) + ".row" + std::to_string(i);
-      ASSERT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
-      EXPECT_EQ(value, "v" + std::to_string(id));
-    }
   }
 }
 
@@ -518,19 +463,17 @@ TEST(LsmConcurrencyTest, WritersReadersScannersModelCheck) {
   EXPECT_GE(stats.write_groups, 1u);
 }
 
-// Sharded-memtable atomicity model check: each writer repeatedly commits
-// an 8-row batch whose rows hash to different shards, all rows carrying
-// the batch's version number. Because a group's sequence is published
-// only after every shard finishes applying, no reader — point Get or
-// snapshot scan — may ever observe rows from the same batch at different
-// versions, even while the parallel shard-claim apply and memtable
-// rotation race underneath.
-TEST(LsmConcurrencyTest, ShardedBatchAtomicityUnderSnapshots) {
+// Group atomicity model check: each writer repeatedly commits an 8-row
+// batch, all rows carrying the batch's version number. Because a group's
+// sequence is published only after the leader has applied every row, no
+// reader — point Get or snapshot scan — may ever observe rows from the
+// same batch at different versions, even while group commits and
+// memtable rotation race underneath.
+TEST(LsmConcurrencyTest, BatchAtomicityUnderSnapshots) {
   testutil::ScopedTempDir dir("conc-lsm-atomic");
   lsm::Options options;
   options.dir = dir.path();
   options.memtable_bytes = 32 * 1024;  // rotate memtables mid-run
-  options.memtable_shards = 8;
   std::unique_ptr<lsm::DB> db;
   ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
 

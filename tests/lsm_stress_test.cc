@@ -371,31 +371,26 @@ TEST(LsmStressTest, FormatV2PrefixBloom) {
   RunStress(options, "stress-v2-prefix");
 }
 
-TEST(LsmStressTest, ShardedMemtable) {
-  // Eight memtable shards under constant rotation: every group commit
-  // fans its rows across the shard skiplists (parallel apply when
-  // writers queue up), every rotation gathers all eight shards into one
-  // SSTable, and readers k-way-merge the shard runs mid-write. The
-  // write buffer is 8KiB rather than StressOptions' 2KiB — the minimum
-  // budget that keeps all eight shards effective (DB::Open halves the
-  // count below 1KiB/shard) while still flushing every few dozen rows.
+TEST(LsmStressTest, SizeTieredRotationChurn) {
+  // Size-tiered with an 8KiB write buffer instead of StressOptions' 2KiB:
+  // each memtable holds more multi-writer groups between rotations, so
+  // readers and snapshot scans traverse a fuller skip list while the
+  // leader inserts, and every rotation still flushes a few dozen rows.
   lsm::Options options = StressOptions();
   options.memtable_bytes = 8 * 1024;
   options.compaction_style = lsm::CompactionStyle::kSizeTiered;
   options.size_tiered_min_files = 4;
-  options.memtable_shards = 8;
-  RunStress(options, "stress-shards");
+  RunStress(options, "stress-tiered-churn");
 }
 
-TEST(LsmStressTest, SingleShardMemtable) {
-  // memtable_shards=1 compiles down to the pre-shard engine (no hash
-  // routing, no merge layer, serial group apply) and must pass the same
-  // workload.
+TEST(LsmStressTest, LeveledDefaultLevelSizes) {
+  // Leveled with the default L1 budget and no subcompactions: the plain
+  // L0 -> L1 path, without the multi-level movement and subcompaction
+  // split that the Leveled variant forces.
   lsm::Options options = StressOptions();
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
-  options.memtable_shards = 1;
-  RunStress(options, "stress-single-shard");
+  RunStress(options, "stress-leveled-default");
 }
 
 TEST(LsmStressTest, LeveledSyncWrites) {

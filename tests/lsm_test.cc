@@ -76,79 +76,6 @@ TEST(MemTableTest, IteratorOrderedWithSeqs) {
   EXPECT_FALSE(iter->Valid());
 }
 
-TEST(MemTableTest, ShardRoutingIsStableAndInRange) {
-  for (int shards : {1, 2, 8, 64}) {
-    for (int i = 0; i < 1000; i++) {
-      const std::string key = "user" + std::to_string(i);
-      const uint32_t shard = MemTable::ShardOf(key, shards);
-      EXPECT_LT(shard, static_cast<uint32_t>(shards));
-      EXPECT_EQ(shard, MemTable::ShardOf(key, shards));  // deterministic
-    }
-  }
-  EXPECT_EQ(MemTable::ShardOf("anything", 1), 0u);
-}
-
-TEST(MemTableTest, ShardedIterationMergesSorted) {
-  // Keys scatter across 8 skip lists but the merged iterator must yield
-  // one globally sorted stream, identical to a single-shard memtable's.
-  MemTable sharded(4096, /*num_shards=*/8);
-  MemTable single(4096, /*num_shards=*/1);
-  uint64_t seq = 1;
-  for (int i = 0; i < 500; i++) {
-    const std::string key = "key" + std::to_string(i * 7919 % 500);
-    const std::string value = "v" + std::to_string(i);
-    sharded.Put(key, value, seq);
-    single.Put(key, value, seq);
-    seq++;
-  }
-  sharded.Delete("key42", seq);
-  single.Delete("key42", seq);
-  EXPECT_EQ(sharded.EntryCount(), single.EntryCount());
-
-  auto it_s = sharded.NewIterator();
-  auto it_1 = single.NewIterator();
-  it_s->SeekToFirst();
-  it_1->SeekToFirst();
-  while (it_1->Valid()) {
-    ASSERT_TRUE(it_s->Valid());
-    EXPECT_EQ(it_s->key().ToString(), it_1->key().ToString());
-    EXPECT_EQ(it_s->value().ToString(), it_1->value().ToString());
-    EXPECT_EQ(it_s->seq(), it_1->seq());
-    EXPECT_EQ(it_s->IsTombstone(), it_1->IsTombstone());
-    it_s->Next();
-    it_1->Next();
-  }
-  EXPECT_FALSE(it_s->Valid());
-
-  // Targeted seek lands on the same entry in both shapes.
-  it_s->Seek("key250");
-  it_1->Seek("key250");
-  ASSERT_TRUE(it_s->Valid());
-  ASSERT_TRUE(it_1->Valid());
-  EXPECT_EQ(it_s->key().ToString(), it_1->key().ToString());
-  EXPECT_EQ(it_s->seq(), it_1->seq());
-
-  // Point reads route straight to the owning shard.
-  std::string value;
-  EXPECT_EQ(sharded.Get("key1", &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(sharded.Get("key42", &value), MemTable::GetResult::kDeleted);
-  EXPECT_EQ(sharded.Get("missing", &value), MemTable::GetResult::kAbsent);
-}
-
-TEST(MemTableTest, ShardedApplyViaExplicitShard) {
-  // PutToShard/DeleteToShard with the routed shard index is exactly
-  // Put/Delete — this is the contract the parallel group apply relies on.
-  MemTable mem(4096, /*num_shards=*/4);
-  const std::string key = "routed-key";
-  const int shard = static_cast<int>(MemTable::ShardOf(key, 4));
-  mem.PutToShard(shard, key, "v", 1);
-  std::string value;
-  EXPECT_EQ(mem.Get(key, &value), MemTable::GetResult::kFound);
-  EXPECT_EQ(value, "v");
-  mem.DeleteToShard(shard, key, 2);
-  EXPECT_EQ(mem.Get(key, &value), MemTable::GetResult::kDeleted);
-}
-
 TEST(WalTest, RoundTrip) {
   ScopedTempDir dir("wal");
   std::string path = dir.path() + "/test.log";
@@ -1032,49 +959,6 @@ TEST_F(DBTest, RequiresDirOption) {
   EXPECT_TRUE(DB::Open(bad, &db).IsInvalidArgument());
 }
 
-TEST_F(DBTest, RejectsInvalidMemtableShards) {
-  std::unique_ptr<DB> db;
-  for (int shards : {0, -1, 3, 6, 65, 128}) {
-    options_.memtable_shards = shards;
-    Status s = DB::Open(options_, &db);
-    EXPECT_TRUE(s.IsInvalidArgument()) << "shards=" << shards;
-    EXPECT_NE(s.ToString().find("memtable_shards"), std::string::npos);
-  }
-  options_.memtable_shards = 1;
-  EXPECT_TRUE(DB::Open(options_, &db).ok());
-}
-
-TEST_F(DBTest, ReopenAcrossShardCounts) {
-  // Shard count is a purely in-memory knob: the WAL and SSTables are
-  // shard-agnostic, so a database written with 8 shards must reopen and
-  // replay correctly with 1, and vice versa.
-  options_.memtable_shards = 8;
-  Open();
-  for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(
-        db_->Put("key" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
-  ASSERT_TRUE(db_->Delete("key7").ok());
-  db_.reset();
-
-  options_.memtable_shards = 1;
-  Open();
-  std::string value;
-  ASSERT_TRUE(db_->Get(ReadOptions(), "key199", &value).ok());
-  EXPECT_EQ(value, "v199");
-  EXPECT_TRUE(db_->Get(ReadOptions(), "key7", &value).IsNotFound());
-  ASSERT_TRUE(db_->Put("key7", "back").ok());
-  db_.reset();
-
-  options_.memtable_shards = 8;
-  Open();
-  ASSERT_TRUE(db_->Get(ReadOptions(), "key7", &value).ok());
-  EXPECT_EQ(value, "back");
-  std::vector<std::pair<std::string, std::string>> rows;
-  ASSERT_TRUE(db_->Scan(ReadOptions(), "key", 1000, &rows).ok());
-  EXPECT_EQ(rows.size(), 200u);
-}
-
 TEST_F(DBTest, RejectsUnsupportedFormatVersion) {
   std::unique_ptr<DB> db;
   options_.format_version = 0;
@@ -1140,12 +1024,13 @@ TEST_F(DBTest, V1DatabaseOpensAndCompactsToV2) {
   verify_all();
 }
 
-// Flush accounting: the arena charges whole blocks, so a stream of tiny
-// keys can overshoot write_buffer_size by at most one arena block (plus
-// the block-vector bookkeeping the arena also counts).
+// Flush accounting: a memtable has one arena, and the arena charges whole
+// blocks, so a stream of tiny keys can overshoot write_buffer_size by at
+// most one arena block (plus the block-vector bookkeeping the arena also
+// counts).
 TEST_F(DBTest, TinyKeysCannotOvershootWriteBuffer) {
   options_.memtable_bytes = 16 * 1024;
-  options_.arena_block_bytes = 1024;
+  options_.arena_block_bytes = 1024;  // under the memtable_bytes / 4 clamp
   Open();
   uint64_t max_observed = 0;
   for (int i = 0; i < 4000; i++) {
@@ -1161,23 +1046,29 @@ TEST_F(DBTest, TinyKeysCannotOvershootWriteBuffer) {
 
 // The inverse accounting hazard: a memtable_bytes smaller than one arena
 // block must not flush after every write. DB::Open clamps the block size
-// to memtable_bytes / 4, so even a 2 KiB write buffer batches a few
-// dozen entries per flush instead of one.
+// to max(256, memtable_bytes / 4), so even a 2 KiB write buffer batches a
+// few dozen entries per flush instead of one, and the overshoot stays
+// within one clamped block.
 TEST_F(DBTest, TinyMemtableDoesNotFlushPerPut) {
   options_.memtable_bytes = 2 * 1024;
   options_.arena_block_bytes = 4 * 1024;  // bigger than the whole buffer
   Open();
   const int kPuts = 300;
+  uint64_t max_observed = 0;
   for (int i = 0; i < kPuts; i++) {
     char key[12];
     snprintf(key, sizeof(key), "c%06d", i);
     ASSERT_TRUE(db_->Put(key, "x").ok());
+    max_observed = std::max(max_observed, db_->GetStats().memtable_bytes);
   }
   DB::Stats stats = db_->GetStats();
   EXPECT_GT(stats.num_flushes, 0u);
   // Unclamped, every put rotates the memtable (~300 flushes); clamped,
   // each 2 KiB buffer holds a few dozen 20-something-byte entries.
   EXPECT_LT(stats.num_flushes, kPuts / 4u);
+  // The clamped block is 2 KiB / 4 = 512 bytes; an unclamped 4 KiB block
+  // alone would exceed this bound.
+  EXPECT_LE(max_observed, options_.memtable_bytes + 512 + 128);
 }
 
 // Short bounded scans skip tables whose prefix bloom rules the prefix out.

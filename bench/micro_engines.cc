@@ -8,7 +8,7 @@
 // reads should scale with threads on a multi-core host.
 //
 // Usage: micro_engines [engine=lsm|btree|hashkv|volt] [op=put|get|scan]
-//                      [mode=cache_scan|format]
+//                      [mode=cache_scan]
 //                      [out=BENCH_engines.json] [build=<label>]
 //
 // mode=cache_scan runs the read-path sweep instead of the engine sweep:
@@ -16,13 +16,9 @@
 // measured block-cache hit rate in each lsm row (the scaling evidence
 // for the sharded block cache and the store-layer fan-out executor).
 //
-// mode=format compares the two SSTable formats head to head: v1 (plain
-// blocks) vs v2 (arena memtable writes, prefix-compressed restart-point
-// blocks, prefix bloom filters) x put/get/scan x the thread sweep. Every
-// row carries heap bytes allocated per operation (global operator-new
-// accounting — the arena claim), the live index-block bytes and on-disk
-// footprint (the prefix-compression claim), and for scans the number of
-// tables skipped via prefix blooms (the bounded-scan claim).
+// Every row records the host's hardware threads (`hw_threads`) and the
+// build type (`build_type`: "release" when NDEBUG is defined, else
+// "debug"), so rows from different hosts and builds stay distinguishable.
 //
 // Environment:
 //   APMBENCH_BENCH_SECONDS  seconds measured per point (default 0.5)
@@ -31,12 +27,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,53 +45,6 @@
 #include "stores/redis_store.h"
 #include "stores/store_options.h"
 #include "volt/volt.h"
-
-// --- Global allocation accounting (mode=format) ---------------------------
-//
-// Replacing the global allocation functions lets the format sweep report
-// heap bytes allocated per operation across the whole process: the arena
-// memtable's claim is precisely that the v2 write path performs fewer,
-// larger allocations than one-new-per-Put. Counting is two relaxed
-// fetch_adds, cheap enough to leave on for every mode.
-
-namespace {
-std::atomic<uint64_t> g_heap_bytes{0};
-std::atomic<uint64_t> g_heap_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-// Frees pair with CountedAlloc's malloc; GCC cannot see that and warns
-// about free() on operator-new memory at inlined call sites.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 
@@ -195,20 +142,38 @@ struct SweepConfig {
   benchutil::JsonResultWriter* out = nullptr;
 };
 
-void Report(const SweepConfig& config, const std::string& engine,
-            const std::string& op, int threads, const MeasureResult& r) {
-  printf("%-8s %-5s %4d threads  %12.0f ops/s  (%llu ops in %.2fs)\n",
-         engine.c_str(), op.c_str(), threads, r.ops_per_sec,
-         static_cast<unsigned long long>(r.total_ops), r.elapsed);
-  fflush(stdout);
+/// Adds one result row with the fields every mode shares, stamped with
+/// the host's hardware threads and the build type.
+benchutil::JsonResultWriter::Row& AddResultRow(const SweepConfig& config,
+                                               const std::string& engine,
+                                               const std::string& op,
+                                               int threads,
+                                               const MeasureResult& r) {
+#ifdef NDEBUG
+  const char* build_type = "release";
+#else
+  const char* build_type = "debug";
+#endif
   auto& row = config.out->AddRow()
                   .Str("engine", engine)
                   .Str("op", op)
                   .Int("threads", threads)
                   .Num("ops_per_sec", r.ops_per_sec)
                   .Int("total_ops", static_cast<int64_t>(r.total_ops))
-                  .Num("seconds", r.elapsed);
+                  .Num("seconds", r.elapsed)
+                  .Int("hw_threads", std::thread::hardware_concurrency())
+                  .Str("build_type", build_type);
   if (!config.build_label.empty()) row.Str("build", config.build_label);
+  return row;
+}
+
+void Report(const SweepConfig& config, const std::string& engine,
+            const std::string& op, int threads, const MeasureResult& r) {
+  printf("%-8s %-5s %4d threads  %12.0f ops/s  (%llu ops in %.2fs)\n",
+         engine.c_str(), op.c_str(), threads, r.ops_per_sec,
+         static_cast<unsigned long long>(r.total_ops), r.elapsed);
+  fflush(stdout);
+  AddResultRow(config, engine, op, threads, r);
 }
 
 bool WantOp(const SweepConfig& config, const char* op) {
@@ -388,15 +353,8 @@ void ReportCache(const SweepConfig& config, const std::string& engine,
   if (hit_rate >= 0) printf(", hit rate %.3f", hit_rate);
   printf(")\n");
   fflush(stdout);
-  auto& row = config.out->AddRow()
-                  .Str("engine", engine)
-                  .Str("op", op)
-                  .Int("threads", threads)
-                  .Num("ops_per_sec", r.ops_per_sec)
-                  .Int("total_ops", static_cast<int64_t>(r.total_ops))
-                  .Num("seconds", r.elapsed);
+  auto& row = AddResultRow(config, engine, op, threads, r);
   if (hit_rate >= 0) row.Num("cache_hit_rate", hit_rate);
-  if (!config.build_label.empty()) row.Str("build", config.build_label);
 }
 
 void SweepCacheScan(const SweepConfig& config) {
@@ -475,142 +433,6 @@ void SweepCacheScan(const SweepConfig& config) {
   Env::Default()->RemoveDirRecursively(dir);
 }
 
-// --- Storage-format sweep (mode=format) -----------------------------------
-
-void ReportFormat(const SweepConfig& config, uint32_t version,
-                  const std::string& op, int threads, const MeasureResult& r,
-                  double alloc_bytes_per_op, uint64_t index_bytes,
-                  uint64_t disk_bytes, int64_t prefix_bloom_skips) {
-  printf("lsm-v%u   %-5s %4d threads  %12.0f ops/s  (%7.0f alloc B/op, "
-         "index %6.1f KiB",
-         version, op.c_str(), threads, r.ops_per_sec, alloc_bytes_per_op,
-         static_cast<double>(index_bytes) / 1024.0);
-  if (prefix_bloom_skips >= 0) {
-    printf(", %lld table skips", static_cast<long long>(prefix_bloom_skips));
-  }
-  printf(")\n");
-  fflush(stdout);
-  auto& row = config.out->AddRow()
-                  .Str("engine", "lsm")
-                  .Str("mode", "format")
-                  .Int("format_version", version)
-                  .Str("op", op)
-                  .Int("threads", threads)
-                  .Num("ops_per_sec", r.ops_per_sec)
-                  .Int("total_ops", static_cast<int64_t>(r.total_ops))
-                  .Num("seconds", r.elapsed)
-                  .Num("alloc_bytes_per_op", alloc_bytes_per_op)
-                  .Int("index_bytes", static_cast<int64_t>(index_bytes))
-                  .Int("disk_bytes", static_cast<int64_t>(disk_bytes));
-  if (prefix_bloom_skips >= 0) row.Int("prefix_bloom_skips", prefix_bloom_skips);
-  if (!config.build_label.empty()) row.Str("build", config.build_label);
-}
-
-void SweepFormat(const SweepConfig& config) {
-  const std::string dir = "/tmp/apmbench-micro-format";
-  const uint64_t kGroups = 32;
-  constexpr size_t kPrefixLen = 9;  // "fmtNNNNN/" below
-  const uint64_t preload = config.preload;
-  const uint64_t per_group = preload / kGroups;
-
-  // Keys are grouped under 9-byte prefixes and the preload flushes once
-  // per group, so each SSTable covers one prefix: the layout a
-  // metric-per-agent APM schema produces, and the one where a bounded
-  // scan's prefix bloom can rule whole tables out.
-  auto group_key = [](uint64_t group, uint64_t i) {
-    char buf[40];
-    snprintf(buf, sizeof(buf), "fmt%05llu/user%012llu",
-             static_cast<unsigned long long>(group),
-             static_cast<unsigned long long>(i));
-    return std::string(buf);
-  };
-
-  for (uint32_t version : {uint32_t{1}, uint32_t{2}}) {
-    for (int threads : config.thread_counts) {
-      Env::Default()->RemoveDirRecursively(dir);
-      lsm::Options options;
-      options.dir = dir;
-      options.memtable_bytes = 4 * 1024 * 1024;
-      options.format_version = version;
-      // Identical knobs for both versions; v1 tables simply cannot carry
-      // a prefix filter, which is part of what the sweep shows.
-      options.prefix_bloom_length = kPrefixLen;
-      std::unique_ptr<lsm::DB> db;
-      if (!lsm::DB::Open(options, &db).ok()) return;
-      for (uint64_t g = 0; g < kGroups; g++) {
-        for (uint64_t i = 0; i < per_group; i++) {
-          db->Put(group_key(g, i), MakeValue());
-        }
-        db->Flush();
-      }
-      lsm::DB::Stats loaded = db->GetStats();
-      uint64_t disk_bytes = 0;
-      db->DiskUsage(&disk_bytes);
-
-      auto measure = [&](const char* op, auto&& body) {
-        const uint64_t bytes_before =
-            g_heap_bytes.load(std::memory_order_relaxed);
-        const uint64_t skips_before = db->GetStats().prefix_bloom_skips;
-        auto r = Measure(threads, config.seconds, body);
-        const double alloc_per_op =
-            r.total_ops > 0
-                ? static_cast<double>(
-                      g_heap_bytes.load(std::memory_order_relaxed) -
-                      bytes_before) /
-                      static_cast<double>(r.total_ops)
-                : 0.0;
-        const int64_t skips =
-            std::string(op) == "scan"
-                ? static_cast<int64_t>(db->GetStats().prefix_bloom_skips -
-                                       skips_before)
-                : -1;
-        ReportFormat(config, version, op, threads, r, alloc_per_op,
-                     loaded.index_bytes, disk_bytes, skips);
-      };
-
-      if (WantOp(config, "get")) {
-        measure("get", [&](int t) {
-          auto rng = std::make_shared<Random>(5000 + t);
-          return [&, rng]() {
-            std::string value;
-            db->Get(lsm::ReadOptions(),
-                    group_key(rng->Uniform(kGroups), rng->Uniform(per_group)),
-                    &value);
-          };
-        });
-      }
-      if (WantOp(config, "scan")) {
-        // Short bounded scan within one prefix group — the workload the
-        // prefix bloom exists for.
-        measure("scan", [&](int t) {
-          auto rng = std::make_shared<Random>(6000 + t);
-          return [&, rng]() {
-            lsm::ReadOptions bounded;
-            bounded.prefix_same_as_start = true;
-            std::vector<std::pair<std::string, std::string>> out;
-            db->Scan(bounded,
-                     group_key(rng->Uniform(kGroups), rng->Uniform(per_group)),
-                     50, &out);
-          };
-        });
-      }
-      if (WantOp(config, "put")) {
-        // Disjoint fresh key ranges per thread, above the preload set.
-        measure("put", [&](int t) {
-          auto next = std::make_shared<uint64_t>(
-              per_group + (static_cast<uint64_t>(t) << 32));
-          return [&, next]() {
-            db->Put(group_key(static_cast<uint64_t>(t) % kGroups, (*next)++),
-                    MakeValue());
-          };
-        });
-      }
-      db.reset();
-      Env::Default()->RemoveDirRecursively(dir);
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -626,7 +448,7 @@ int main(int argc, char** argv) {
     if (!props.ParseArg(argv[i]).ok()) {
       fprintf(stderr,
               "usage: %s [engine=lsm|btree|hashkv|volt] [op=put|get|scan] "
-              "[mode=cache_scan|format] [out=<path>] "
+              "[mode=cache_scan] [out=<path>] "
               "[build=<label>]\n",
               argv[0]);
       return 2;
@@ -636,6 +458,10 @@ int main(int argc, char** argv) {
     if (props.Contains("op")) config.only_op = props.GetString("op");
     if (props.Contains("out")) out_path = props.GetString("out");
     if (props.Contains("build")) config.build_label = props.GetString("build");
+  }
+  if (!mode.empty() && mode != "cache_scan") {
+    fprintf(stderr, "unknown mode=%s (expected cache_scan)\n", mode.c_str());
+    return 2;
   }
 
   benchutil::JsonResultWriter results(out_path);
@@ -647,8 +473,6 @@ int main(int argc, char** argv) {
 
   if (mode == "cache_scan") {
     SweepCacheScan(config);
-  } else if (mode == "format") {
-    SweepFormat(config);
   } else {
     if (only_engine.empty() || only_engine == "lsm") SweepLsm(config);
     if (only_engine.empty() || only_engine == "btree") SweepBtree(config);

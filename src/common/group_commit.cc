@@ -5,7 +5,7 @@
 namespace apmbench {
 
 GroupCommitLog::GroupCommitLog(std::unique_ptr<WritableFile> file)
-    : file_(std::move(file)) {}
+    : file_(std::move(file)), initial_size_(file_->Size()) {}
 
 GroupCommitLog::~GroupCommitLog() {
   if (!closed_) {
@@ -130,8 +130,10 @@ Status GroupCommitLog::Close() {
 }
 
 uint64_t GroupCommitLog::Size() const {
+  // Never touches file_: the group leader appends to it with mu_ released,
+  // and a batch in flight is neither in pending_ nor in the file's size.
   std::lock_guard<std::mutex> lock(mu_);
-  return file_->Size() + pending_.size();
+  return initial_size_ + enqueued_;
 }
 
 GroupCommitLog::Stats GroupCommitLog::GetStats() const {

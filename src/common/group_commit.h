@@ -80,6 +80,7 @@ class GroupCommitLog {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unique_ptr<WritableFile> file_;
+  const uint64_t initial_size_;  // file size when the log was opened
   std::string pending_;        // staged records not yet written
   bool pending_sync_ = false;  // someone in pending_ wants fsync
   uint64_t enqueued_ = 0;      // total bytes ever enqueued

@@ -105,7 +105,7 @@ class BlockCache {
   /// block payload: the heap std::string header, the cache's Handle
   /// (key, links, refcount, owner-list pointers), the shard hash-table
   /// node, and allocator headers. Charged on every insert so that the
-  /// small blocks of the v2 format (prefix-compressed, often well under
+  /// small blocks of the table format (prefix-compressed, often well under
   /// block_size) cannot blow past the configured budget through
   /// per-entry bookkeeping the old payload-only charge never counted.
   static constexpr size_t kEntryOverheadBytes = sizeof(std::string) + 160;
@@ -114,7 +114,7 @@ class BlockCache {
   /// handle to the now-cache-owned bytes. Never fails: over-capacity
   /// inserts are still returned pinned, just not retained on release.
   /// The charge is the entry's actual footprint — every payload byte the
-  /// string holds (for v2 blocks that includes the restart-point array
+  /// string holds (for table blocks that includes the restart-point array
   /// and restart-count trailer) plus kEntryOverheadBytes — rather than a
   /// coarse payload estimate.
   BlockHandle Insert(uint64_t file_number, uint64_t offset,

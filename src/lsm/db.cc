@@ -82,12 +82,6 @@ Status DB::Open(const Options& options, std::unique_ptr<DB>* db) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("Options::dir must be set");
   }
-  if (options.format_version < kTableFormatV1 ||
-      options.format_version > kMaxSupportedTableFormat) {
-    return Status::InvalidArgument(
-        "Options::format_version must be 1 or 2, got " +
-        std::to_string(options.format_version));
-  }
   std::unique_ptr<DB> impl(new DB(options));
   APM_RETURN_IF_ERROR(impl->OpenImpl());
   *db = std::move(impl);
@@ -816,7 +810,7 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
     meta.number = current_number;
     meta.file_size = builder->FileSize();
     meta.num_entries = builder->NumEntries();
-    meta.format_version = builder->format_version();
+    meta.format_version = kTableFormatV2;
     meta.smallest = builder->smallest_key();
     meta.largest = builder->largest_key();
     if (rate_limiter_ != nullptr && meta.file_size > charged) {
@@ -1474,11 +1468,6 @@ DB::Stats DB::GetStats() {
       prefix_bloom_skips_.load(std::memory_order_relaxed);
   for (const auto& [number, table] : tables_) {
     (void)number;
-    if (table->format_version() >= kTableFormatV2) {
-      stats.tables_format_v2++;
-    } else {
-      stats.tables_format_v1++;
-    }
     stats.index_bytes += table->index_block_bytes();
   }
   stats.wal_dropped_bytes = wal_dropped_bytes_;

@@ -88,7 +88,7 @@ class DB {
     /// cache by inserts vs the bytes actually charged for them (payload
     /// plus the per-entry resident footprint — string header, cache
     /// handle, hash-table node). payload/charged is the accuracy ratio;
-    /// it drops as blocks shrink (v2 prefix compression), which is why
+    /// it drops as blocks shrink (prefix compression), which is why
     /// the overhead is charged at all.
     uint64_t cache_inserted_payload_bytes = 0;
     uint64_t cache_inserted_charged_bytes = 0;
@@ -97,11 +97,7 @@ class DB {
     std::vector<uint64_t> cache_hits_per_level;
     std::vector<uint64_t> cache_misses_per_level;
     uint64_t memtable_bytes = 0;
-    /// Live tables by on-disk format version (compaction migrates v1
-    /// tables to the configured version, so v1 counts drain over time).
-    uint64_t tables_format_v1 = 0;
-    uint64_t tables_format_v2 = 0;
-    /// Total on-disk index-block bytes across live tables (the v2
+    /// Total on-disk index-block bytes across live tables (the
     /// restart-point shrink is visible here).
     uint64_t index_bytes = 0;
     /// Tables skipped by Scan via prefix bloom filters

@@ -49,16 +49,7 @@ struct Options {
   /// Target uncompressed size of one SSTable data block.
   size_t block_size = 4 * 1024;
 
-  /// On-disk SSTable format written by flushes and compactions.
-  ///   1: plain blocks, full key per entry (the original format).
-  ///   2: prefix-compressed keys with restart points, versioned footer,
-  ///      optional prefix bloom filter.
-  /// Readers always understand both; compaction rewrites v1 tables into
-  /// the configured version, so a DB opened with format_version=2 over an
-  /// old directory converges to v2 as compaction touches each table.
-  uint32_t format_version = 2;
-
-  /// Format v2: number of entries between restart points in a block.
+  /// Number of entries between restart points in a table block.
   /// Keys between restarts share a prefix with their predecessor; larger
   /// intervals compress better, smaller intervals make in-block seeks
   /// cheaper. Clamped to >= 1.
@@ -67,7 +58,7 @@ struct Options {
   /// Bloom filter bits per key in each SSTable (0 disables filters).
   int bloom_bits_per_key = 10;
 
-  /// Format v2: when > 0, each table additionally stores a bloom filter
+  /// When > 0, each table additionally stores a bloom filter
   /// over the first `prefix_bloom_length` bytes of its keys. Range scans
   /// issued with ReadOptions::prefix_same_as_start can then skip whole
   /// tables that contain no key with the scan's prefix, the way point

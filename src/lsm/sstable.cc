@@ -13,22 +13,10 @@ namespace apmbench::lsm {
 
 namespace {
 
-constexpr uint64_t kTableMagicV1 = 0x41504d424e434831ull;  // "APMBNCH1"
-constexpr uint64_t kTableMagicV2 = 0x41504d424e434832ull;  // "APMBNCH2"
-constexpr size_t kFooterV1Size = 8 + 4 + 8 + 4 + 8;
-constexpr size_t kFooterV2Size = 8 + 4 + 8 + 4 + 8 + 4 + 4 + 4 + 8;
+constexpr uint64_t kTableMagic = 0x41504d424e434832ull;  // "APMBNCH2"
+constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + 8 + 4 + 4 + 4 + 8;
 
 constexpr uint8_t kFlagTombstone = 0x1;
-
-void AppendEntryV1(std::string* dst, const Slice& key, const Slice& value,
-                   uint64_t seq, bool tombstone) {
-  PutVarint32(dst, static_cast<uint32_t>(key.size()));
-  dst->append(key.data(), key.size());
-  dst->push_back(static_cast<char>(tombstone ? kFlagTombstone : 0));
-  PutVarint64(dst, seq);
-  PutVarint32(dst, static_cast<uint32_t>(value.size()));
-  dst->append(value.data(), value.size());
-}
 
 size_t SharedPrefixLength(const Slice& a, const Slice& b) {
   const size_t n = std::min(a.size(), b.size());
@@ -37,58 +25,41 @@ size_t SharedPrefixLength(const Slice& a, const Slice& b) {
   return i;
 }
 
-/// Decodes the footer from `tail`, the last min(file_size, kFooterV2Size)
-/// bytes of the file, dispatching on the trailing magic.
+/// Decodes the footer from `tail`, the last min(file_size, kFooterSize)
+/// bytes of the file.
 Status ParseFooter(const Slice& tail, const std::string& path,
                    TableFooter* out) {
   if (tail.size() < 8) {
     return Status::Corruption("table too short: " + path);
   }
-  const uint64_t magic = DecodeFixed64(tail.data() + tail.size() - 8);
-  if (magic == kTableMagicV1) {
-    if (tail.size() < kFooterV1Size) {
-      return Status::Corruption("truncated v1 footer: " + path);
-    }
-    Slice f(tail.data() + tail.size() - kFooterV1Size, kFooterV1Size);
-    out->format_version = kTableFormatV1;
-    GetFixed64(&f, &out->index_offset);
-    GetFixed32(&f, &out->index_size);
-    GetFixed64(&f, &out->filter_offset);
-    GetFixed32(&f, &out->filter_size);
-    out->prefix_filter_offset = 0;
-    out->prefix_filter_size = 0;
-    out->prefix_bloom_length = 0;
-    return Status::OK();
+  if (DecodeFixed64(tail.data() + tail.size() - 8) != kTableMagic) {
+    return Status::Corruption("bad table magic: " + path);
   }
-  if (magic == kTableMagicV2) {
-    if (tail.size() < kFooterV2Size) {
-      return Status::Corruption("truncated v2 footer: " + path);
-    }
-    Slice f(tail.data() + tail.size() - kFooterV2Size, kFooterV2Size);
-    GetFixed64(&f, &out->index_offset);
-    GetFixed32(&f, &out->index_size);
-    GetFixed64(&f, &out->filter_offset);
-    GetFixed32(&f, &out->filter_size);
-    GetFixed64(&f, &out->prefix_filter_offset);
-    GetFixed32(&f, &out->prefix_filter_size);
-    GetFixed32(&f, &out->prefix_bloom_length);
-    GetFixed32(&f, &out->format_version);
-    if (out->format_version < kTableFormatV2 ||
-        out->format_version > kMaxSupportedTableFormat) {
-      return Status::Corruption("unsupported table format version " +
-                                std::to_string(out->format_version) + ": " +
-                                path);
-    }
-    return Status::OK();
+  if (tail.size() < kFooterSize) {
+    return Status::Corruption("truncated footer: " + path);
   }
-  return Status::Corruption("bad table magic: " + path);
+  Slice f(tail.data() + tail.size() - kFooterSize, kFooterSize);
+  GetFixed64(&f, &out->index_offset);
+  GetFixed32(&f, &out->index_size);
+  GetFixed64(&f, &out->filter_offset);
+  GetFixed32(&f, &out->filter_size);
+  GetFixed64(&f, &out->prefix_filter_offset);
+  GetFixed32(&f, &out->prefix_filter_size);
+  GetFixed32(&f, &out->prefix_bloom_length);
+  GetFixed32(&f, &out->format_version);
+  if (out->format_version != kTableFormatV2) {
+    return Status::Corruption("unsupported table format version " +
+                              std::to_string(out->format_version) + ": " +
+                              path);
+  }
+  return Status::OK();
 }
 
 Status ReadFooterFrom(RandomAccessFile* file, uint64_t file_size,
                       const std::string& path, TableFooter* out) {
   const size_t want =
-      static_cast<size_t>(std::min<uint64_t>(file_size, kFooterV2Size));
-  char buf[kFooterV2Size];
+      static_cast<size_t>(std::min<uint64_t>(file_size, kFooterSize));
+  char buf[kFooterSize];
   Slice tail;
   APM_RETURN_IF_ERROR(file->Read(file_size - want, want, &tail, buf));
   if (tail.size() != want) {
@@ -107,7 +78,7 @@ Status ReadTableFooter(Env* env, const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// BlockBuilder (format v2)
+// BlockBuilder
 
 BlockBuilder::BlockBuilder(int restart_interval)
     : restart_interval_(restart_interval < 1 ? 1 : restart_interval) {}
@@ -153,58 +124,24 @@ void BlockBuilder::Reset() {
 // ---------------------------------------------------------------------------
 // BlockCursor
 
-BlockCursor::BlockCursor(Slice block, uint32_t format_version,
-                         bool data_block)
-    : block_(block), format_(format_version), data_block_(data_block) {
-  if (format_ >= kTableFormatV2) {
-    if (block_.size() < 8) {  // restart offset 0 + count
-      MarkCorrupt();
-      return;
-    }
-    num_restarts_ = DecodeFixed32(block_.data() + block_.size() - 4);
-    const uint64_t restart_bytes = 4ull * num_restarts_ + 4;
-    if (num_restarts_ == 0 || restart_bytes > block_.size()) {
-      MarkCorrupt();
-      return;
-    }
-    data_end_ = block_.size() - static_cast<size_t>(restart_bytes);
+BlockCursor::BlockCursor(Slice block, bool data_block)
+    : block_(block), data_block_(data_block) {
+  if (block_.size() < 8) {  // restart offset 0 + count
+    MarkCorrupt();
+    return;
   }
+  num_restarts_ = DecodeFixed32(block_.data() + block_.size() - 4);
+  const uint64_t restart_bytes = 4ull * num_restarts_ + 4;
+  if (num_restarts_ == 0 || restart_bytes > block_.size()) {
+    MarkCorrupt();
+    return;
+  }
+  data_end_ = block_.size() - static_cast<size_t>(restart_bytes);
 }
 
 void BlockCursor::MarkCorrupt() {
   corrupt_ = true;
   valid_ = false;
-}
-
-bool BlockCursor::ParseV1Entry() {
-  if (remaining_.empty() || corrupt_) {
-    valid_ = false;
-    return false;
-  }
-  uint32_t klen;
-  if (!GetVarint32(&remaining_, &klen) || remaining_.size() < klen + 1) {
-    MarkCorrupt();
-    return false;
-  }
-  key_ = Slice(remaining_.data(), klen);
-  remaining_.RemovePrefix(klen);
-  const uint8_t flags = static_cast<uint8_t>(remaining_[0]);
-  remaining_.RemovePrefix(1);
-  tombstone_ = (flags & kFlagTombstone) != 0;
-  if (!GetVarint64(&remaining_, &seq_)) {
-    MarkCorrupt();
-    return false;
-  }
-  uint32_t vlen;
-  if (!GetVarint32(&remaining_, &vlen) || remaining_.size() < vlen) {
-    MarkCorrupt();
-    return false;
-  }
-  value_ = Slice(remaining_.data(), vlen);
-  remaining_.RemovePrefix(vlen);
-  payload_ = Slice();
-  valid_ = true;
-  return true;
 }
 
 bool BlockCursor::DecodeDataPayload() {
@@ -219,7 +156,7 @@ bool BlockCursor::DecodeDataPayload() {
   return true;
 }
 
-bool BlockCursor::ParseV2EntryAt(size_t offset) {
+bool BlockCursor::ParseEntryAt(size_t offset) {
   if (corrupt_) return false;
   if (offset >= data_end_) {
     valid_ = false;
@@ -253,18 +190,13 @@ bool BlockCursor::ParseV2EntryAt(size_t offset) {
 
 bool BlockCursor::SeekToFirst() {
   if (corrupt_) return false;
-  if (format_ >= kTableFormatV2) {
-    key_buf_.clear();
-    return ParseV2EntryAt(0);
-  }
-  remaining_ = block_;
-  return ParseV1Entry();
+  key_buf_.clear();
+  return ParseEntryAt(0);
 }
 
 bool BlockCursor::Next() {
   if (!valid_) return false;
-  if (format_ >= kTableFormatV2) return ParseV2EntryAt(next_offset_);
-  return ParseV1Entry();
+  return ParseEntryAt(next_offset_);
 }
 
 uint32_t BlockCursor::RestartFloor(const Slice& target) {
@@ -298,59 +230,34 @@ uint32_t BlockCursor::RestartFloor(const Slice& target) {
 
 bool BlockCursor::Seek(const Slice& target) {
   if (corrupt_) return false;
-  if (format_ >= kTableFormatV2) {
-    if (data_end_ == 0) {
-      valid_ = false;
-      return false;
-    }
-    const uint32_t restart = RestartFloor(target);
-    if (corrupt_) return false;
-    key_buf_.clear();
-    const size_t offset = DecodeFixed32(block_.data() + data_end_ +
-                                        4 * static_cast<size_t>(restart));
-    if (!ParseV2EntryAt(offset)) return false;
-    while (valid_ && key_.Compare(target) < 0) Next();
-    return valid_;
+  if (data_end_ == 0) {
+    valid_ = false;
+    return false;
   }
-  if (!SeekToFirst()) return false;
+  const uint32_t restart = RestartFloor(target);
+  if (corrupt_) return false;
+  key_buf_.clear();
+  const size_t offset = DecodeFixed32(block_.data() + data_end_ +
+                                      4 * static_cast<size_t>(restart));
+  if (!ParseEntryAt(offset)) return false;
   while (valid_ && key_.Compare(target) < 0) Next();
   return valid_;
 }
 
 bool BlockCursor::SeekToLast() {
   if (corrupt_) return false;
-  if (format_ >= kTableFormatV2) {
-    if (data_end_ == 0) {
-      valid_ = false;
-      return false;
-    }
-    key_buf_.clear();
-    const size_t offset =
-        DecodeFixed32(block_.data() + data_end_ +
-                      4 * static_cast<size_t>(num_restarts_ - 1));
-    if (!ParseV2EntryAt(offset)) return false;
-    while (next_offset_ < data_end_) {
-      if (!ParseV2EntryAt(next_offset_)) return false;
-    }
-    return valid_;
+  if (data_end_ == 0) {
+    valid_ = false;
+    return false;
   }
-  // v1: linear walk, keeping the last decoded entry.
-  if (!SeekToFirst()) return false;
-  for (;;) {
-    Slice last_key = key_;
-    Slice last_value = value_;
-    uint64_t last_seq = seq_;
-    bool last_tombstone = tombstone_;
-    if (!ParseV1Entry()) {
-      if (corrupt_) return false;
-      key_ = last_key;
-      value_ = last_value;
-      seq_ = last_seq;
-      tombstone_ = last_tombstone;
-      valid_ = true;
-      return true;
-    }
+  key_buf_.clear();
+  const size_t offset = DecodeFixed32(
+      block_.data() + data_end_ + 4 * static_cast<size_t>(num_restarts_ - 1));
+  if (!ParseEntryAt(offset)) return false;
+  while (next_offset_ < data_end_) {
+    if (!ParseEntryAt(next_offset_)) return false;
   }
+  return valid_;
 }
 
 // ---------------------------------------------------------------------------
@@ -360,17 +267,11 @@ TableBuilder::TableBuilder(const Options& options, Env* env, std::string path)
     : options_(options),
       env_(env),
       path_(std::move(path)),
-      format_version_(options.format_version <= kTableFormatV1
-                          ? kTableFormatV1
-                          : kTableFormatV2) {
+      data_builder_(options.block_restart_interval),
+      index_builder_(options.block_restart_interval) {
   if (options_.bloom_bits_per_key > 0) {
     filter_ = std::make_unique<BloomFilterBuilder>(options_.bloom_bits_per_key);
-  }
-  if (format_version_ >= kTableFormatV2) {
-    const int restart_interval = std::max(1, options_.block_restart_interval);
-    data_builder_ = std::make_unique<BlockBuilder>(restart_interval);
-    index_builder_ = std::make_unique<BlockBuilder>(restart_interval);
-    if (options_.prefix_bloom_length > 0 && options_.bloom_bits_per_key > 0) {
+    if (options_.prefix_bloom_length > 0) {
       prefix_filter_ = std::make_unique<PrefixBloomBuilder>(
           options_.bloom_bits_per_key, options_.prefix_bloom_length);
     }
@@ -382,12 +283,8 @@ TableBuilder::~TableBuilder() = default;
 Status TableBuilder::Open() { return env_->NewWritableFile(path_, &file_); }
 
 uint64_t TableBuilder::CurrentSizeEstimate() const {
-  if (format_version_ >= kTableFormatV2) {
-    return offset_ + (data_builder_->empty()
-                          ? 0
-                          : data_builder_->CurrentSizeEstimate());
-  }
-  return offset_ + data_block_.size();
+  return offset_ +
+         (data_builder_.empty() ? 0 : data_builder_.CurrentSizeEstimate());
 }
 
 Status TableBuilder::Add(const Slice& key, const Slice& value, uint64_t seq,
@@ -396,23 +293,15 @@ Status TableBuilder::Add(const Slice& key, const Slice& value, uint64_t seq,
     smallest_key_ = key.ToString();
   }
   largest_key_ = key.ToString();
-  if (format_version_ >= kTableFormatV2) {
-    payload_scratch_.clear();
-    payload_scratch_.push_back(
-        static_cast<char>(tombstone ? kFlagTombstone : 0));
-    PutVarint64(&payload_scratch_, seq);
-    payload_scratch_.append(value.data(), value.size());
-    data_builder_->Add(key, Slice(payload_scratch_));
-    if (prefix_filter_ != nullptr) prefix_filter_->AddKey(key);
-  } else {
-    AppendEntryV1(&data_block_, key, value, seq, tombstone);
-  }
+  payload_scratch_.clear();
+  payload_scratch_.push_back(static_cast<char>(tombstone ? kFlagTombstone : 0));
+  PutVarint64(&payload_scratch_, seq);
+  payload_scratch_.append(value.data(), value.size());
+  data_builder_.Add(key, Slice(payload_scratch_));
   if (filter_ != nullptr) filter_->AddKey(key);
+  if (prefix_filter_ != nullptr) prefix_filter_->AddKey(key);
   num_entries_++;
-  const size_t pending = format_version_ >= kTableFormatV2
-                             ? data_builder_->CurrentSizeEstimate()
-                             : data_block_.size();
-  if (pending >= options_.block_size) {
+  if (data_builder_.CurrentSizeEstimate() >= options_.block_size) {
     return FlushDataBlock();
   }
   return Status::OK();
@@ -444,33 +333,22 @@ Status TableBuilder::WriteBlock(const Slice& raw, uint64_t* span) {
 }
 
 Status TableBuilder::FlushDataBlock() {
-  const bool v2 = format_version_ >= kTableFormatV2;
-  if (v2 ? data_builder_->empty() : data_block_.empty()) return Status::OK();
+  if (data_builder_.empty()) return Status::OK();
 
-  const Slice raw = v2 ? data_builder_->Finish() : Slice(data_block_);
   uint64_t span = 0;
-  APM_RETURN_IF_ERROR(WriteBlock(raw, &span));
+  APM_RETURN_IF_ERROR(WriteBlock(data_builder_.Finish(), &span));
 
-  if (v2) {
-    char handle[12];
-    EncodeFixed64(handle, offset_);
-    EncodeFixed32(handle + 8, static_cast<uint32_t>(span));
-    index_builder_->Add(Slice(largest_key_), Slice(handle, sizeof(handle)));
-    data_builder_->Reset();
-  } else {
-    PutVarint32(&index_block_, static_cast<uint32_t>(largest_key_.size()));
-    index_block_.append(largest_key_);
-    PutFixed64(&index_block_, offset_);
-    PutFixed32(&index_block_, static_cast<uint32_t>(span));
-    data_block_.clear();
-  }
+  char handle[12];
+  EncodeFixed64(handle, offset_);
+  EncodeFixed32(handle + 8, static_cast<uint32_t>(span));
+  index_builder_.Add(Slice(largest_key_), Slice(handle, sizeof(handle)));
+  data_builder_.Reset();
   offset_ += span;
   return Status::OK();
 }
 
 Status TableBuilder::Finish() {
   APM_RETURN_IF_ERROR(FlushDataBlock());
-  const bool v2 = format_version_ >= kTableFormatV2;
 
   uint64_t filter_offset = offset_;
   std::string filter_data;
@@ -483,39 +361,28 @@ Status TableBuilder::Finish() {
   uint64_t prefix_filter_offset = offset_;
   std::string prefix_filter_data;
   uint32_t prefix_bloom_length = 0;
-  if (v2 && prefix_filter_ != nullptr && prefix_filter_->NumPrefixes() > 0) {
+  if (prefix_filter_ != nullptr && prefix_filter_->NumPrefixes() > 0) {
     prefix_filter_data = prefix_filter_->Finish();
     APM_RETURN_IF_ERROR(file_->Append(prefix_filter_data));
     offset_ += prefix_filter_data.size();
     prefix_bloom_length = static_cast<uint32_t>(options_.prefix_bloom_length);
   }
 
-  uint64_t index_offset = offset_;
-  uint64_t index_size = 0;
-  if (v2) {
-    const Slice raw = index_builder_->Finish();
-    APM_RETURN_IF_ERROR(file_->Append(raw));
-    index_size = raw.size();
-  } else {
-    APM_RETURN_IF_ERROR(file_->Append(index_block_));
-    index_size = index_block_.size();
-  }
-  offset_ += index_size;
+  const uint64_t index_offset = offset_;
+  const Slice index_block = index_builder_.Finish();
+  APM_RETURN_IF_ERROR(file_->Append(index_block));
+  offset_ += index_block.size();
 
   std::string footer;
   PutFixed64(&footer, index_offset);
-  PutFixed32(&footer, static_cast<uint32_t>(index_size));
+  PutFixed32(&footer, static_cast<uint32_t>(index_block.size()));
   PutFixed64(&footer, filter_offset);
   PutFixed32(&footer, static_cast<uint32_t>(filter_data.size()));
-  if (v2) {
-    PutFixed64(&footer, prefix_filter_offset);
-    PutFixed32(&footer, static_cast<uint32_t>(prefix_filter_data.size()));
-    PutFixed32(&footer, prefix_bloom_length);
-    PutFixed32(&footer, format_version_);
-    PutFixed64(&footer, kTableMagicV2);
-  } else {
-    PutFixed64(&footer, kTableMagicV1);
-  }
+  PutFixed64(&footer, prefix_filter_offset);
+  PutFixed32(&footer, static_cast<uint32_t>(prefix_filter_data.size()));
+  PutFixed32(&footer, prefix_bloom_length);
+  PutFixed32(&footer, kTableFormatV2);
+  PutFixed64(&footer, kTableMagic);
   APM_RETURN_IF_ERROR(file_->Append(footer));
   offset_ += footer.size();
 
@@ -549,8 +416,8 @@ Status Table::Open(const Options& options, Env* env, const std::string& path,
   APM_RETURN_IF_ERROR(
       ReadFooterFrom(t->file_.get(), t->file_size_, path, &t->footer_));
 
-  // Load the index block. Both versions read the raw bytes once; what is
-  // retained differs (see the class comment).
+  // Load the index block. It is prefix-compressed on disk, so materialize
+  // the full keys once into index_storage_ and drop the raw block.
   const uint32_t index_size = t->footer_.index_size;
   std::string index_data(index_size, '\0');
   Slice index_slice;
@@ -559,70 +426,38 @@ Status Table::Open(const Options& options, Env* env, const std::string& path,
   if (index_slice.size() != index_size) {
     return Status::Corruption("short index read: " + path);
   }
-  if (index_slice.data() != index_data.data()) {
-    index_data.assign(index_slice.data(), index_slice.size());
+  struct RawEntry {
+    size_t key_offset;
+    size_t key_size;
+    uint64_t offset;
+    uint32_t size;
+  };
+  std::vector<RawEntry> raw_entries;
+  BlockCursor cursor(index_slice, /*data_block=*/false);
+  for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
+    const Slice payload = cursor.payload();
+    if (payload.size() != 12) {
+      return Status::Corruption("bad index entry: " + path);
+    }
+    RawEntry raw;
+    raw.key_offset = t->index_storage_.size();
+    raw.key_size = cursor.key().size();
+    raw.offset = DecodeFixed64(payload.data());
+    raw.size = DecodeFixed32(payload.data() + 8);
+    t->index_storage_.append(cursor.key().data(), cursor.key().size());
+    raw_entries.push_back(raw);
   }
-
-  if (t->footer_.format_version == kTableFormatV1) {
-    // v1: pin the block in the cache for the table's lifetime; the
-    // IndexEntry last_key slices point into the pinned bytes, so the
-    // table keeps no private copy and the block is charged against the
-    // cache budget exactly once.
-    t->index_block_ =
-        cache != nullptr
-            ? cache->Insert(file_number, t->footer_.index_offset,
-                            std::move(index_data))
-            : BlockCache::Wrap(std::move(index_data));
-    Slice in(*t->index_block_);
-    while (!in.empty()) {
-      uint32_t klen;
-      if (!GetVarint32(&in, &klen) || in.size() < klen + 12) {
-        return Status::Corruption("bad index entry: " + path);
-      }
-      IndexEntry entry;
-      entry.last_key = Slice(in.data(), klen);
-      in.RemovePrefix(klen);
-      GetFixed64(&in, &entry.offset);
-      GetFixed32(&in, &entry.size);
-      t->index_.push_back(entry);
-    }
-  } else {
-    // v2: the index block is prefix-compressed on disk; materialize the
-    // full keys once into index_storage_ and drop the raw block.
-    struct RawEntry {
-      size_t key_offset;
-      size_t key_size;
-      uint64_t offset;
-      uint32_t size;
-    };
-    std::vector<RawEntry> raw_entries;
-    BlockCursor cursor(Slice(index_data), kTableFormatV2,
-                       /*data_block=*/false);
-    for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
-      const Slice payload = cursor.payload();
-      if (payload.size() != 12) {
-        return Status::Corruption("bad index entry: " + path);
-      }
-      RawEntry raw;
-      raw.key_offset = t->index_storage_.size();
-      raw.key_size = cursor.key().size();
-      raw.offset = DecodeFixed64(payload.data());
-      raw.size = DecodeFixed32(payload.data() + 8);
-      t->index_storage_.append(cursor.key().data(), cursor.key().size());
-      raw_entries.push_back(raw);
-    }
-    if (cursor.corrupt()) {
-      return Status::Corruption("bad index block: " + path);
-    }
-    t->index_.reserve(raw_entries.size());
-    for (const RawEntry& raw : raw_entries) {
-      IndexEntry entry;
-      entry.last_key =
-          Slice(t->index_storage_.data() + raw.key_offset, raw.key_size);
-      entry.offset = raw.offset;
-      entry.size = raw.size;
-      t->index_.push_back(entry);
-    }
+  if (cursor.corrupt()) {
+    return Status::Corruption("bad index block: " + path);
+  }
+  t->index_.reserve(raw_entries.size());
+  for (const RawEntry& raw : raw_entries) {
+    IndexEntry entry;
+    entry.last_key =
+        Slice(t->index_storage_.data() + raw.key_offset, raw.key_size);
+    entry.offset = raw.offset;
+    entry.size = raw.size;
+    t->index_.push_back(entry);
   }
 
   // Load the bloom filter(s), pinned and charged to the cache.
@@ -734,7 +569,7 @@ Status Table::Get(const ReadOptions& read_options, const Slice& key,
   APM_RETURN_IF_ERROR(ReadBlock(index_[block_index].offset,
                                 index_[block_index].size, &block,
                                 read_options.fill_cache));
-  BlockCursor cursor(Slice(*block), footer_.format_version);
+  BlockCursor cursor{Slice(*block)};
   if (cursor.Seek(key) && cursor.key().Compare(key) == 0) {
     if (seq != nullptr) *seq = cursor.seq();
     if (cursor.tombstone()) {
@@ -807,8 +642,7 @@ class TableIterator final : public Iterator {
       status_ = s;
       return false;
     }
-    cursor_ = std::make_unique<BlockCursor>(Slice(*block_),
-                                            table_->footer_.format_version);
+    cursor_ = std::make_unique<BlockCursor>(Slice(*block_));
     return true;
   }
 

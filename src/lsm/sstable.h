@@ -15,24 +15,9 @@
 
 namespace apmbench::lsm {
 
-/// On-disk immutable sorted table (SSTable). Two format versions exist,
-/// distinguished by the footer magic; readers understand both, writers
-/// emit Options::format_version (see docs/format.md for byte layouts).
-///
-/// v1 ("APMBNCH1"): plain blocks, every entry carries its full key:
-///
-///   [data block]*          entries: varint klen, key, 1-byte flags,
-///                          varint64 seq, varint vlen, value — sorted,
-///                          unique keys; optionally LZ-compressed
-///   [filter block]         bloom filter over all keys (optional)
-///   [index block]          per data block: varint klen, last key,
-///                          fixed64 offset, fixed32 size
-///   [footer, 32 bytes]     fixed64 index_off, fixed32 index_sz,
-///                          fixed64 filter_off, fixed32 filter_sz,
-///                          fixed64 magic
-///
-/// v2 ("APMBNCH2"): prefix-compressed keys with restart points. Every
-/// block (data and index) is a sequence of
+/// On-disk immutable sorted table (SSTable), format "APMBNCH2" (see
+/// docs/FORMATS.md for the byte layout). Every block (data and index) is
+/// a sequence of prefix-compressed entries
 ///
 ///   varint shared | varint non_shared | varint payload_len |
 ///   key[shared..] | payload
@@ -41,7 +26,7 @@ namespace apmbench::lsm {
 /// fixed32 restart count. Entries at restart points store their full key
 /// (shared = 0); a seek binary-searches the restart array, then scans.
 /// Data payloads are `flags u8, varint64 seq, value`; index payloads are
-/// `fixed64 offset, fixed32 span`. The footer grows to 52 bytes:
+/// `fixed64 offset, fixed32 span`. The footer is 52 bytes:
 ///
 ///   fixed64 index_off, fixed32 index_sz, fixed64 filter_off,
 ///   fixed32 filter_sz, fixed64 prefix_filter_off,
@@ -52,16 +37,13 @@ namespace apmbench::lsm {
 /// `prefix_bloom_length`-byte key prefixes, letting bounded range scans
 /// skip whole tables.
 ///
-/// Each data block in either version carries a 1-byte compression type
-/// plus a fixed32 masked crc32c trailer.
-constexpr uint32_t kTableFormatV1 = 1;
+/// Each data block carries a 1-byte compression type plus a fixed32
+/// masked crc32c trailer.
 constexpr uint32_t kTableFormatV2 = 2;
-constexpr uint32_t kMaxSupportedTableFormat = kTableFormatV2;
 
-/// Parsed table footer, version-normalized (v1 leaves the prefix-filter
-/// fields zero).
+/// Parsed table footer.
 struct TableFooter {
-  uint32_t format_version = kTableFormatV1;
+  uint32_t format_version = kTableFormatV2;
   uint64_t index_offset = 0;
   uint32_t index_size = 0;
   uint64_t filter_offset = 0;
@@ -77,7 +59,7 @@ struct TableFooter {
 /// that need per-file format/index geometry without opening the table.
 Status ReadTableFooter(Env* env, const std::string& path, TableFooter* footer);
 
-/// Builds one v2 block: prefix-compressed keys with restart points.
+/// Builds one block: prefix-compressed keys with restart points.
 /// Generic over the payload, so data blocks and index blocks share it.
 class BlockBuilder {
  public:
@@ -109,32 +91,28 @@ class BlockBuilder {
   bool finished_ = false;
 };
 
-/// Cursor over the entries of one block, dispatching on the table format:
-/// v1 blocks decode self-contained entries linearly; v2 blocks rebuild
-/// prefix-compressed keys and use the restart array for Seek/SeekToLast.
-/// Each positioning call returns Valid() afterwards. For v1 the cursor
-/// only understands *data* blocks (v1 index blocks are parsed by
-/// Table::Open); for v2 it handles any block, exposing the raw payload.
+/// Cursor over the entries of one block: rebuilds prefix-compressed keys
+/// and uses the restart array for Seek/SeekToLast. Each positioning call
+/// returns Valid() afterwards.
 class BlockCursor {
  public:
   /// `data_block` selects the typed data-payload decode (flags/seq/value);
-  /// pass false when walking a v2 index block, whose payloads are opaque
-  /// to the cursor.
-  BlockCursor(Slice block, uint32_t format_version, bool data_block = true);
+  /// pass false when walking an index block, whose payloads are opaque to
+  /// the cursor.
+  explicit BlockCursor(Slice block, bool data_block = true);
 
   bool Valid() const { return valid_; }
   bool SeekToFirst();
-  /// Positions at the first entry with key >= target (v2: restart binary
-  /// search + short scan; v1: linear scan from the block start).
+  /// Positions at the first entry with key >= target (restart binary
+  /// search + short scan).
   bool Seek(const Slice& target);
   bool SeekToLast();
   bool Next();
 
-  /// Valid while positioned. For v2 the key lives in an internal buffer
-  /// that the next positioning call overwrites; copy it to retain it.
+  /// Valid while positioned. The key lives in an internal buffer that the
+  /// next positioning call overwrites; copy it to retain it.
   Slice key() const { return key_; }
-  /// Raw payload bytes (v2 any block; v1 data blocks reconstruct the
-  /// equivalent view lazily — use the typed accessors instead).
+  /// Raw payload bytes of the current entry.
   Slice payload() const { return payload_; }
 
   /// Typed accessors for *data* block payloads.
@@ -145,26 +123,22 @@ class BlockCursor {
   bool corrupt() const { return corrupt_; }
 
  private:
-  bool ParseV1Entry();
-  /// Decodes the v2 entry at `offset`; `offset` must start an entry and
+  /// Decodes the entry at `offset`; `offset` must start an entry and
   /// the current key buffer must hold its predecessor's key (or the entry
   /// must be a restart point).
-  bool ParseV2EntryAt(size_t offset);
+  bool ParseEntryAt(size_t offset);
   bool DecodeDataPayload();
   /// Index of the last restart whose entry key is < target.
   uint32_t RestartFloor(const Slice& target);
   void MarkCorrupt();
 
   Slice block_;
-  uint32_t format_;
   bool data_block_;
-  // v2 geometry.
   size_t data_end_ = 0;      // first byte of the restart array
   uint32_t num_restarts_ = 0;
   // Position state.
-  size_t next_offset_ = 0;   // v2: offset of the entry after the current
-  Slice remaining_;          // v1: unparsed suffix
-  std::string key_buf_;      // v2: reconstructed current key
+  size_t next_offset_ = 0;   // offset of the entry after the current
+  std::string key_buf_;      // reconstructed current key
   Slice key_;
   Slice payload_;
   Slice value_;
@@ -174,7 +148,7 @@ class BlockCursor {
   bool corrupt_ = false;
 };
 
-/// Writes one SSTable in Options::format_version.
+/// Writes one SSTable.
 class TableBuilder {
  public:
   /// Starts building table `file_number` at `path`.
@@ -200,7 +174,6 @@ class TableBuilder {
   /// Bytes written plus the pending data block; valid while building.
   uint64_t CurrentSizeEstimate() const;
   uint64_t NumEntries() const { return num_entries_; }
-  uint32_t format_version() const { return format_version_; }
   const std::string& smallest_key() const { return smallest_key_; }
   const std::string& largest_key() const { return largest_key_; }
 
@@ -214,14 +187,9 @@ class TableBuilder {
   Env* env_;
   std::string path_;
   std::unique_ptr<WritableFile> file_;
-  uint32_t format_version_;
 
-  // v1 state.
-  std::string data_block_;
-  std::string index_block_;
-  // v2 state.
-  std::unique_ptr<BlockBuilder> data_builder_;
-  std::unique_ptr<BlockBuilder> index_builder_;
+  BlockBuilder data_builder_;
+  BlockBuilder index_builder_;
   std::unique_ptr<class PrefixBloomBuilder> prefix_filter_;
   std::string payload_scratch_;
 
@@ -235,12 +203,10 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// Reader for an SSTable, dispatching on the footer's format version.
-/// The bloom-filter block(s) are pinned, cache-charged entries — the
-/// table holds handles for its lifetime. A v1 index block is pinned the
-/// same way with index entries slicing into the pinned bytes; a v2 index
-/// block is prefix-compressed on disk, so Open materializes the full keys
-/// once into a private buffer and drops the raw block. Data blocks are
+/// Reader for an SSTable. The bloom-filter block(s) are pinned,
+/// cache-charged entries — the table holds handles for its lifetime. The
+/// index block is prefix-compressed on disk, so Open materializes the full
+/// keys once into a private buffer and drops the raw block. Data blocks are
 /// fetched through the shared BlockCache zero-copy: readers parse the
 /// pinned cached bytes in place.
 class Table {
@@ -260,9 +226,8 @@ class Table {
 
   uint64_t file_number() const { return file_number_; }
   uint64_t file_size() const { return file_size_; }
-  uint32_t format_version() const { return footer_.format_version; }
   /// On-disk size of the index block (the restart-point shrink shows up
-  /// here; feeds DB::Stats and the format bench).
+  /// here; feeds DB::Stats).
   uint64_t index_block_bytes() const { return footer_.index_size; }
 
   /// Prefix length this table's prefix bloom was built over; 0 = none.
@@ -284,8 +249,7 @@ class Table {
   friend class TableIterator;
 
   struct IndexEntry {
-    Slice last_key;  // v1: into the pinned index block; v2: into
-                     // index_storage_
+    Slice last_key;  // into index_storage_
     uint64_t offset;
     uint32_t size;
   };
@@ -303,13 +267,12 @@ class Table {
   uint64_t file_size_ = 0;
   TableFooter footer_;
   BlockCache* cache_ = nullptr;
-  /// Lifetime pins on the index / bloom-filter blocks. Pinned entries are
+  /// Lifetime pins on the bloom-filter blocks. Pinned entries are
   /// charged to the cache but never evicted; EvictFile only unlinks them,
   /// the bytes stay valid until the Table goes away.
-  BlockCache::BlockHandle index_block_;   // v1 only
   BlockCache::BlockHandle filter_block_;
   BlockCache::BlockHandle prefix_filter_block_;
-  std::string index_storage_;             // v2: materialized index keys
+  std::string index_storage_;  // materialized index keys
   std::vector<IndexEntry> index_;
   Slice filter_;         // empty when the table has no filter
   Slice prefix_filter_;  // empty when the table has no prefix bloom

@@ -9,12 +9,7 @@
 namespace apmbench::lsm {
 
 namespace {
-// Manifest format v1 predates per-file table-format tracking; v2 adds a
-// fixed32 format_version to every file record. Recovery accepts both so
-// a database written before the storage-format refactor still opens (its
-// files report format_version 0 = unknown until rewritten).
-constexpr uint64_t kManifestMagicV1 = 0x41504d4d414e4631ull;  // "APMMANF1"
-constexpr uint64_t kManifestMagicV2 = 0x41504d4d414e4632ull;  // "APMMANF2"
+constexpr uint64_t kManifestMagic = 0x41504d4d414e4632ull;  // "APMMANF2"
 }  // namespace
 
 VersionSet::VersionSet(const Options& options, Env* env)
@@ -38,7 +33,7 @@ uint64_t VersionSet::TotalFiles() const {
 
 Status VersionSet::Persist() {
   std::string body;
-  PutFixed64(&body, kManifestMagicV2);
+  PutFixed64(&body, kManifestMagic);
   PutFixed64(&body, next_file_number_.load());
   PutFixed64(&body, last_seq_);
   PutFixed64(&body, log_number_);
@@ -86,10 +81,9 @@ Status VersionSet::Recover(bool* found) {
   Slice in(body.data(), body.size() - 4);
   uint64_t magic;
   GetFixed64(&in, &magic);
-  if (magic != kManifestMagicV1 && magic != kManifestMagicV2) {
+  if (magic != kManifestMagic) {
     return Status::Corruption("bad manifest magic");
   }
-  const bool has_format_version = magic == kManifestMagicV2;
   uint64_t next_file = 0;
   GetFixed64(&in, &next_file);
   next_file_number_.store(next_file);
@@ -106,7 +100,7 @@ Status VersionSet::Recover(bool* found) {
     if (!GetFixed32(&in, &level) || level >= Options::kNumLevels ||
         !GetFixed64(&in, &f.number) || !GetFixed64(&in, &f.file_size) ||
         !GetFixed64(&in, &f.num_entries) ||
-        (has_format_version && !GetFixed32(&in, &f.format_version)) ||
+        !GetFixed32(&in, &f.format_version) ||
         !GetLengthPrefixedSlice(&in, &smallest) ||
         !GetLengthPrefixedSlice(&in, &largest)) {
       return Status::Corruption("bad manifest file record");

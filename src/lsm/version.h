@@ -18,10 +18,9 @@ struct FileMeta {
   uint64_t number = 0;
   uint64_t file_size = 0;
   uint64_t num_entries = 0;
-  /// On-disk table format the file was written with (kTableFormatV1/V2).
-  /// 0 = unknown: the file was recorded by a pre-versioning manifest; the
-  /// table footer remains authoritative either way (Table::Open reads
-  /// it), this field just gives the manifest and stats a cheap view.
+  /// On-disk table format the file was written with (kTableFormatV2).
+  /// The table footer remains authoritative (Table::Open reads it); this
+  /// field keeps the manifest record layout stable.
   uint32_t format_version = 0;
   std::string smallest;
   std::string largest;

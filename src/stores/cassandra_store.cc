@@ -65,7 +65,6 @@ Status CassandraStore::Open(const StoreOptions& options,
     db_options.block_cache_bytes = options.block_cache_bytes;
     db_options.block_cache_shard_bits = options.block_cache_shard_bits;
     db_options.bloom_bits_per_key = options.bloom_bits_per_key;
-    db_options.format_version = options.lsm_format_version;
     db_options.block_restart_interval = options.lsm_block_restart_interval;
     db_options.prefix_bloom_length = options.lsm_prefix_bloom_length;
     db_options.arena_block_bytes = options.lsm_arena_block_bytes;

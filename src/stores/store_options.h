@@ -61,14 +61,9 @@ struct StoreOptions {
   /// log2 of each node's block cache shard count (see lsm::Options).
   int block_cache_shard_bits = 4;
   int bloom_bits_per_key = 10;
-  /// SSTable format written by flushes and compactions (see
-  /// lsm::Options::format_version): 1 = plain blocks, 2 =
-  /// prefix-compressed restart-point blocks with a versioned footer.
-  /// Readers always understand both.
-  uint32_t lsm_format_version = 2;
-  /// Entries between restart points in a v2 block (lsm::Options).
+  /// Entries between restart points in a table block (lsm::Options).
   int lsm_block_restart_interval = 16;
-  /// When > 0, v2 tables also carry a bloom filter over this many leading
+  /// When > 0, tables also carry a bloom filter over this many leading
   /// key bytes so bounded scans can skip tables (lsm::Options).
   size_t lsm_prefix_bloom_length = 0;
   /// Arena block size for memtable bump allocation (lsm::Options).

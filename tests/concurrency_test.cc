@@ -281,6 +281,54 @@ TEST(GroupCommitLogTest, AppendFailureIsSticky) {
   EXPECT_EQ(file->contents(), "");
 }
 
+// Engines poll Size() while writers run (GetStats, DiskUsage). It must not
+// read the file the group leader appends to with the mutex released, and
+// it must count a batch that is in flight: the reported size never moves
+// backwards and ends at exactly the bytes appended.
+TEST(GroupCommitLogTest, SizeIsSafeToPollDuringAppends) {
+  testutil::ScopedTempDir dir("conc-gc-size");
+  const std::string path = dir.path() + "/log";
+  const std::string header = "header";
+  ASSERT_TRUE(Env::Default()->WriteStringToFile(path, header).ok());
+  std::unique_ptr<WritableFile> file;
+  ASSERT_TRUE(Env::Default()->NewAppendableFile(path, &file).ok());
+  GroupCommitLog log(std::move(file));
+
+  constexpr int kWriters = 4;
+  constexpr int kAppendsPerWriter = 500;
+  const std::string record(37, 'r');
+  std::atomic<bool> done{false};
+  std::atomic<bool> went_backwards{false};
+  std::thread poller([&] {
+    uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t size = log.Size();
+      if (size < last) went_backwards.store(true);
+      last = size;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; t++) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kAppendsPerWriter; i++) {
+        ASSERT_TRUE(log.Append(record, false).ok());
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const uint64_t expected =
+      header.size() + uint64_t{kWriters} * kAppendsPerWriter * record.size();
+  EXPECT_FALSE(went_backwards.load());
+  EXPECT_EQ(log.Size(), expected);
+  ASSERT_TRUE(log.Close().ok());
+  uint64_t on_disk = 0;
+  ASSERT_TRUE(Env::Default()->GetFileSize(path, &on_disk).ok());
+  EXPECT_EQ(on_disk, expected);
+}
+
 // --- LSM writer queue ----------------------------------------------------
 
 // Writers queued behind a leader blocked in the WAL fsync must be merged

@@ -361,10 +361,9 @@ TEST(LsmStressTest, FormatV2PrefixBloom) {
   lsm::Options options = StressOptions();
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
-  // Exercise the v2 writer with an aggressive restart interval (more
+  // Exercise the table writer with an aggressive restart interval (more
   // restart-boundary seeks per block) and the prefix bloom build path on
   // every flush and compaction.
-  options.format_version = 2;
   options.block_restart_interval = 4;
   options.prefix_bloom_length = 3;
   options.arena_block_bytes = 1024;

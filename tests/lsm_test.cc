@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "lsm/bloom.h"
@@ -365,7 +366,7 @@ TEST(BlockV2Test, EmptyBlock) {
   Slice raw = builder.Finish();
   EXPECT_GE(raw.size(), 8u);  // restart array (entry 0) + count
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   EXPECT_FALSE(cursor.SeekToFirst());
   EXPECT_FALSE(cursor.SeekToLast());
   EXPECT_FALSE(cursor.Seek("anything"));
@@ -377,7 +378,7 @@ TEST(BlockV2Test, SingleKeyBlock) {
   builder.Add("only", DataPayload(7, "val"));
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToFirst());
   EXPECT_EQ(cursor.key().ToString(), "only");
   EXPECT_EQ(cursor.value().ToString(), "val");
@@ -412,7 +413,7 @@ TEST(BlockV2Test, SeekAcrossRestartBoundaries) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   for (int i = 0; i < kKeys; i++) {
     // Exact key.
     ASSERT_TRUE(cursor.Seek(keys[i])) << keys[i];
@@ -449,7 +450,7 @@ TEST(BlockV2Test, SeekToLastAndFullIteration) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToLast());
   EXPECT_EQ(cursor.key().ToString(), "k9");
   EXPECT_EQ(cursor.value().ToString(), "9");
@@ -481,7 +482,7 @@ TEST(BlockV2Test, KeysSharingFullPrefixes) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   ASSERT_TRUE(cursor.SeekToFirst());
   for (size_t i = 0; i < keys.size(); i++) {
     ASSERT_TRUE(cursor.Valid());
@@ -509,7 +510,7 @@ TEST(BlockV2Test, InterleavedTombstones) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2);
+  BlockCursor cursor(raw);
   int n = 0;
   for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
     EXPECT_EQ(cursor.tombstone(), n % 2 == 1) << n;
@@ -541,7 +542,7 @@ TEST(BlockV2Test, IndexBlockPayloadsAreOpaque) {
   }
   Slice raw = builder.Finish();
 
-  BlockCursor cursor(raw, kTableFormatV2, /*data_block=*/false);
+  BlockCursor cursor(raw, /*data_block=*/false);
   int n = 0;
   for (bool ok = cursor.SeekToFirst(); ok; ok = cursor.Next()) {
     ASSERT_LT(n, 5);
@@ -552,72 +553,66 @@ TEST(BlockV2Test, IndexBlockPayloadsAreOpaque) {
   EXPECT_FALSE(cursor.corrupt());
 }
 
-// --- table format versioning ----------------------------------------------
+// --- table format ------------------------------------------------------------
 
-TEST_F(SSTableTest, WriterEmitsConfiguredFormatVersion) {
-  for (uint32_t version : {kTableFormatV1, kTableFormatV2}) {
-    std::string path =
-        dir_.path() + "/fmt" + std::to_string(version) + ".sst";
-    options_.format_version = version;
-    TableBuilder builder(options_, Env::Default(), path);
-    ASSERT_TRUE(builder.Open().ok());
-    EXPECT_EQ(builder.format_version(), version);
-    for (int i = 0; i < 300; i++) {
-      char key[24];
-      snprintf(key, sizeof(key), "common/prefix/%05d", i);
-      ASSERT_TRUE(
-          builder.Add(key, "value", static_cast<uint64_t>(i + 1), false)
-              .ok());
-    }
-    ASSERT_TRUE(builder.Finish().ok());
+TEST_F(SSTableTest, WriterEmitsFormatVersion2) {
+  std::string path = dir_.path() + "/fmt.sst";
+  TableBuilder builder(options_, Env::Default(), path);
+  ASSERT_TRUE(builder.Open().ok());
+  for (int i = 0; i < 300; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "common/prefix/%05d", i);
+    ASSERT_TRUE(
+        builder.Add(key, "value", static_cast<uint64_t>(i + 1), false).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
 
-    TableFooter footer;
-    ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
-    EXPECT_EQ(footer.format_version, version);
+  TableFooter footer;
+  ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
+  EXPECT_EQ(footer.format_version, kTableFormatV2);
 
-    BlockCache cache(1 << 20);
-    std::unique_ptr<Table> table;
-    ASSERT_TRUE(Table::Open(options_, Env::Default(), path, version, &cache,
-                            &table)
-                    .ok());
-    EXPECT_EQ(table->format_version(), version);
-    for (int i = 0; i < 300; i += 17) {
-      char key[24];
-      snprintf(key, sizeof(key), "common/prefix/%05d", i);
-      Table::GetResult result;
-      std::string value;
-      ASSERT_TRUE(
-          table->Get(ReadOptions(), key, &result, &value, nullptr).ok());
-      ASSERT_EQ(result, Table::GetResult::kFound) << key;
-      EXPECT_EQ(value, "value");
-    }
+  BlockCache cache(1 << 20);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(
+      Table::Open(options_, Env::Default(), path, 2, &cache, &table).ok());
+  for (int i = 0; i < 300; i += 17) {
+    char key[24];
+    snprintf(key, sizeof(key), "common/prefix/%05d", i);
+    Table::GetResult result;
+    std::string value;
+    ASSERT_TRUE(table->Get(ReadOptions(), key, &result, &value, nullptr).ok());
+    ASSERT_EQ(result, Table::GetResult::kFound) << key;
+    EXPECT_EQ(value, "value");
   }
 }
 
-TEST_F(SSTableTest, V2IndexSmallerThanV1) {
+TEST_F(SSTableTest, PrefixCompressionShrinksTableAndIndex) {
   // Long keys with a heavy shared prefix: both the data blocks and the
-  // index entries (last key per block) compress well under v2.
-  uint64_t sizes[3] = {0, 0, 0};  // indexed by format version
-  uint64_t index_sizes[3] = {0, 0, 0};
-  for (uint32_t version : {kTableFormatV1, kTableFormatV2}) {
+  // index entries (last key per block) shrink once entries between
+  // restart points share their predecessor's prefix. Interval 1 stores
+  // every key in full.
+  uint64_t sizes[2] = {0, 0};
+  uint64_t index_sizes[2] = {0, 0};
+  const int intervals[2] = {1, 16};
+  for (int i = 0; i < 2; i++) {
     std::string path =
-        dir_.path() + "/cmp" + std::to_string(version) + ".sst";
-    options_.format_version = version;
+        dir_.path() + "/cmp" + std::to_string(intervals[i]) + ".sst";
+    options_.block_restart_interval = intervals[i];
     TableBuilder builder(options_, Env::Default(), path);
     ASSERT_TRUE(builder.Open().ok());
-    for (int i = 0; i < 2000; i++) {
+    for (int k = 0; k < 2000; k++) {
       char key[48];
-      snprintf(key, sizeof(key), "org.example.metrics.host%04d.cpu", i);
+      snprintf(key, sizeof(key), "org.example.metrics.host%04d.cpu", k);
       ASSERT_TRUE(builder.Add(key, "8.25", 1, false).ok());
     }
     ASSERT_TRUE(builder.Finish().ok());
     TableFooter footer;
     ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
-    sizes[version] = builder.FileSize();
-    index_sizes[version] = footer.index_size;
+    sizes[i] = builder.FileSize();
+    index_sizes[i] = footer.index_size;
   }
-  EXPECT_LT(sizes[2], sizes[1]);
-  EXPECT_LT(index_sizes[2], index_sizes[1]);
+  EXPECT_LT(sizes[1], sizes[0]);
+  EXPECT_LT(index_sizes[1], index_sizes[0]);
 }
 
 TEST_F(SSTableTest, PrefixBloomFiltersAbsentPrefixes) {
@@ -659,7 +654,6 @@ TEST_F(SSTableTest, PrefixBloomFiltersAbsentPrefixes) {
 
 TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
   std::string path = dir_.path() + "/vt.sst";
-  options_.format_version = kTableFormatV2;
   TableBuilder builder(options_, Env::Default(), path);
   ASSERT_TRUE(builder.Open().ok());
   ASSERT_TRUE(builder.Add("k", "v", 1, false).ok());
@@ -687,17 +681,24 @@ TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
                           &table)
                   .IsCorruption());
 
-  // Garbage magic fails the same way.
-  std::string bad_magic = data;
-  bad_magic.replace(bad_magic.size() - 8, 8, "XXXXXXXX");
-  std::string magic_path = dir_.path() + "/vt_magic.sst";
-  ASSERT_TRUE(
-      Env::Default()->WriteStringToFile(magic_path, Slice(bad_magic)).ok());
-  EXPECT_TRUE(ReadTableFooter(Env::Default(), magic_path, &footer)
-                  .IsCorruption());
-  EXPECT_TRUE(Table::Open(options_, Env::Default(), magic_path, 12, &cache,
-                          &table)
-                  .IsCorruption());
+  // Garbage magic fails the same way, and so does the retired plain-block
+  // table magic: only "APMBNCH2" tables are readable.
+  std::string retired_magic;
+  PutFixed64(&retired_magic, 0x41504d424e434831ull);  // "APMBNCH1"
+  uint64_t number = 12;
+  for (const std::string& magic : {std::string("XXXXXXXX"), retired_magic}) {
+    std::string bad_magic = data;
+    bad_magic.replace(bad_magic.size() - 8, 8, magic);
+    std::string magic_path =
+        dir_.path() + "/vt_magic" + std::to_string(number) + ".sst";
+    ASSERT_TRUE(
+        Env::Default()->WriteStringToFile(magic_path, Slice(bad_magic)).ok());
+    EXPECT_TRUE(ReadTableFooter(Env::Default(), magic_path, &footer)
+                    .IsCorruption());
+    EXPECT_TRUE(Table::Open(options_, Env::Default(), magic_path, number++,
+                            &cache, &table)
+                    .IsCorruption());
+  }
 }
 
 class DBTest : public ::testing::Test {
@@ -959,69 +960,31 @@ TEST_F(DBTest, RequiresDirOption) {
   EXPECT_TRUE(DB::Open(bad, &db).IsInvalidArgument());
 }
 
-TEST_F(DBTest, RejectsUnsupportedFormatVersion) {
-  std::unique_ptr<DB> db;
-  options_.format_version = 0;
-  EXPECT_TRUE(DB::Open(options_, &db).IsInvalidArgument());
-  options_.format_version = kMaxSupportedTableFormat + 1;
-  EXPECT_TRUE(DB::Open(options_, &db).IsInvalidArgument());
-}
-
-// Backward compatibility: a database full of v1 tables (written by the
-// pre-refactor format) must open under the v2-writing build, serve reads,
-// and migrate to v2 as compaction rewrites the files.
-TEST_F(DBTest, V1DatabaseOpensAndCompactsToV2) {
-  options_.format_version = 1;
+// Only the "APMMANF2" manifest is readable: a MANIFEST carrying the retired
+// "APMMANF1" magic under a valid checksum fails Open with Corruption.
+TEST_F(DBTest, RejectsRetiredManifestMagic) {
   Open();
-  std::map<std::string, std::string> model;
-  for (int batch = 0; batch < 3; batch++) {
-    for (int i = 0; i < 120; i++) {
-      std::string key =
-          "row" + std::to_string(batch) + "/" + std::to_string(i);
-      std::string value = "v" + std::to_string(batch * 1000 + i);
-      ASSERT_TRUE(db_->Put(key, value).ok());
-      model[key] = value;
-    }
-    ASSERT_TRUE(db_->Flush().ok());
-  }
-  DB::Stats stats = db_->GetStats();
-  EXPECT_GE(stats.tables_format_v1, 3u);
-  EXPECT_EQ(stats.tables_format_v2, 0u);
+  ASSERT_TRUE(db_->Put("k", "v").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
 
-  // Reopen with the new writer default; the v1 tables must stay readable.
-  options_.format_version = 2;
-  Reopen();
-  auto verify_all = [&] {
-    std::string value;
-    for (const auto& [key, expected] : model) {
-      ASSERT_TRUE(db_->Get(ReadOptions(), key, &value).ok()) << key;
-      ASSERT_EQ(value, expected);
-    }
-    std::vector<std::pair<std::string, std::string>> rows;
-    ASSERT_TRUE(db_->Scan(ReadOptions(), "", 10000, &rows).ok());
-    ASSERT_EQ(rows.size(), model.size());
-    auto expected = model.begin();
-    for (const auto& [key, value] : rows) {
-      ASSERT_EQ(key, expected->first);
-      ASSERT_EQ(value, expected->second);
-      ++expected;
-    }
-  };
-  verify_all();
-  stats = db_->GetStats();
-  EXPECT_GE(stats.tables_format_v1, 3u);
+  const std::string manifest = dir_.path() + "/MANIFEST";
+  std::string body;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(manifest, &body).ok());
+  ASSERT_GT(body.size(), 12u);
+  std::string magic;
+  PutFixed64(&magic, 0x41504d4d414e4631ull);  // "APMMANF1"
+  body.replace(0, 8, magic);
+  std::string crc;
+  PutFixed32(&crc, MaskCrc(Crc32c(body.data(), body.size() - 4)));
+  body.replace(body.size() - 4, 4, crc);
+  ASSERT_TRUE(Env::Default()->WriteStringToFile(manifest, Slice(body)).ok());
 
-  // Major compaction rewrites every table in the configured format.
-  ASSERT_TRUE(db_->CompactAll().ok());
-  stats = db_->GetStats();
-  EXPECT_EQ(stats.tables_format_v1, 0u);
-  EXPECT_GE(stats.tables_format_v2, 1u);
-  verify_all();
-  ASSERT_TRUE(db_->VerifyIntegrity().ok());
-
-  // And the migrated database still recovers.
-  Reopen();
-  verify_all();
+  std::unique_ptr<DB> db;
+  Status s = DB::Open(options_, &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("bad manifest magic"), std::string::npos)
+      << s.ToString();
 }
 
 // Flush accounting: a memtable has one arena, and the arena charges whole

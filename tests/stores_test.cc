@@ -252,11 +252,12 @@ TEST(HBaseStoreTest, PerCellStorageInflatesDisk) {
   StoreOptions options;
   options.num_nodes = 1;
   options.memtable_bytes = 256 * 1024;
-  // Measure the logical KeyValue framing with plain v1 blocks: the v2
-  // format's prefix compression squeezes the repeated `row \0 f :
-  // qualifier` cell keys back out, which is exactly how real HBase's
-  // DataBlockEncoding (FAST_DIFF) mitigates the Figure-17 inflation.
-  options.lsm_format_version = 1;
+  // Measure the logical KeyValue framing with a restart point at every
+  // entry, so each key is stored in full: the default interval's prefix
+  // compression squeezes the repeated `row \0 f : qualifier` cell keys back
+  // out, which is exactly how real HBase's DataBlockEncoding (FAST_DIFF)
+  // mitigates the Figure-17 inflation.
+  options.lsm_block_restart_interval = 1;
 
   std::unique_ptr<ycsb::DB> hbase, cassandra;
   options.base_dir = dir_h.path();

@@ -33,7 +33,8 @@ int Usage(const char* argv0) {
           "usage: %s [store=<name>] [dir=<path>] [nodes=N] [host=H] "
           "[port=P] [portfile=F]\n"
           "          [event_threads=N] [workers=N] [pipeline=N] "
-          "[seconds=S] [<store property>=<value> ...]\n"
+          "[seconds=S] [compression=none|lz]\n"
+          "          [<store property>=<value> ...]\n"
           "stores: cassandra hbase voldemort redis voltdb mysql\n",
           argv0);
   return 2;
@@ -52,8 +53,11 @@ int main(int argc, char** argv) {
   store_options.num_nodes = static_cast<int>(args.GetInt("nodes", 1));
   store_options.mysql_limit_scans = args.GetBool("mysql_limit_scans", false);
   store_options.redis_aof = args.GetBool("redis_aof", false);
-  if (args.GetString("compression") == "lz") {
-    store_options.lsm_compression = CompressionType::kLz;
+  std::string compression = args.GetString("compression", "none");
+  if (!ParseCompressionType(compression, &store_options.lsm_compression)) {
+    fprintf(stderr, "compression must be none or lz, got %s\n",
+            compression.c_str());
+    return 1;
   }
   std::string store_name = args.GetString("store", "cassandra");
   std::unique_ptr<ycsb::DB> db;

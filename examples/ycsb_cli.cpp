@@ -40,7 +40,8 @@ int Usage(const char* argv0) {
           "          [recordcount=N] [operationcount=N] [seconds=S] "
           "[target=OPS] [warmup=S] [interval=S] [status=S]\n"
           "          [series_json=F|-] [series_csv=F|-] [propertyfile=F] "
-          "[<property>=<value> ...]\n"
+          "[compression=none|lz]\n"
+          "          [<property>=<value> ...]\n"
           "stores: cassandra hbase voldemort redis voltdb mysql\n"
           "        remote (addr=host:port connections=N, see store_server)\n",
           argv0);
@@ -75,8 +76,10 @@ Status OpenStore(const Properties& args, std::unique_ptr<ycsb::DB>* db) {
   options.num_nodes = static_cast<int>(args.GetInt("nodes", 1));
   options.mysql_limit_scans = args.GetBool("mysql_limit_scans", false);
   options.redis_aof = args.GetBool("redis_aof", false);
-  if (args.GetString("compression") == "lz") {
-    options.lsm_compression = CompressionType::kLz;
+  std::string compression = args.GetString("compression", "none");
+  if (!ParseCompressionType(compression, &options.lsm_compression)) {
+    return Status::InvalidArgument(
+        "compression must be none or lz, got " + compression);
   }
   return stores::CreateStore(args.GetString("store", "cassandra"), options,
                              db);

@@ -83,7 +83,6 @@ Status BTree::Open(const Options& options, std::unique_ptr<BTree>* tree) {
   pager_options.env = t->env_;
   pager_options.page_size = options.page_size;
   pager_options.buffer_pool_bytes = options.buffer_pool_bytes;
-  pager_options.pool_shard_bits = options.pool_shard_bits;
   bool created = false;
   APM_RETURN_IF_ERROR(Pager::Open(pager_options, &created, &t->pager_));
   t->num_keys_ = t->pager_->user_counter();

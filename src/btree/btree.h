@@ -23,9 +23,6 @@ struct Options {
   size_t page_size = 4096;
   /// Buffer pool capacity (InnoDB's innodb_buffer_pool_size analogue).
   size_t buffer_pool_bytes = 32 * 1024 * 1024;
-  /// log2 of the number of buffer-pool shards (InnoDB's
-  /// innodb_buffer_pool_instances analogue); see PagerOptions.
-  int pool_shard_bits = 4;
   /// When set, every mutation is appended to a binary log at this path,
   /// reproducing MySQL's binlog (the paper notes it doubles disk usage).
   std::string binlog_path;

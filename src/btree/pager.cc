@@ -27,7 +27,11 @@ void Pager::PageHandle::Release() {
 
 Pager::Pager(const PagerOptions& options) : options_(options) {
   env_ = options_.env != nullptr ? options_.env : Env::Default();
-  shard_bits_ = std::max(0, std::min(options_.pool_shard_bits, 8));
+  // kDefaultCacheShardBits shards (InnoDB's innodb_buffer_pool_instances
+  // analogue): pages hash to a shard, each with its own mutex, frame
+  // array, page table, and LRU list, so concurrent readers on different
+  // pages rarely contend.
+  shard_bits_ = kDefaultCacheShardBits;
   size_t frame_count = options_.buffer_pool_bytes / options_.page_size;
   if (frame_count < 8) frame_count = 8;
   // Every shard needs enough frames to pin a root-to-leaf path; drop

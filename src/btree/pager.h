@@ -23,12 +23,6 @@ struct PagerOptions {
   /// Buffer pool capacity; InnoDB's central tuning knob, sized to the
   /// machine's memory in the paper's MySQL setup.
   size_t buffer_pool_bytes = 32 * 1024 * 1024;
-  /// log2 of the number of buffer-pool shards (InnoDB's
-  /// innodb_buffer_pool_instances analogue). Pages hash to a shard, each
-  /// with its own mutex, frame array, page table, and LRU list, so
-  /// concurrent readers on different pages rarely contend. Clamped to
-  /// [0, 8].
-  int pool_shard_bits = 4;
 };
 
 /// Page file + sharded LRU buffer pool. Page 0 is the metadata page

@@ -5,6 +5,21 @@
 
 #include "common/coding.h"
 
+namespace apmbench {
+
+bool ParseCompressionType(const std::string& name, CompressionType* type) {
+  if (name == "none") {
+    *type = CompressionType::kNone;
+  } else if (name == "lz") {
+    *type = CompressionType::kLz;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+}  // namespace apmbench
+
 namespace apmbench::lz {
 
 namespace {

@@ -17,6 +17,10 @@ enum class CompressionType : uint8_t {
   kLz = 1,
 };
 
+/// Parses a codec name as given on a command line ("none" or "lz");
+/// false for any other name.
+bool ParseCompressionType(const std::string& name, CompressionType* type);
+
 /// A byte-oriented LZ77 compressor in the spirit of Snappy/LZ4: greedy
 /// hash-chain matching of 4-byte sequences, literals and back-references
 /// interleaved, no entropy stage — built for speed on small storage

@@ -63,14 +63,12 @@ DB::DB(const Options& options) : options_(options) {
   options_.arena_block_bytes = std::min(
       options_.arena_block_bytes,
       std::max<size_t>(256, options_.memtable_bytes / 4));
-  cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes,
-                                        options_.block_cache_shard_bits);
+  cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
   versions_ = std::make_unique<VersionSet>(options_, env_);
   mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
-  rate_limiter_ = options_.rate_limiter;
-  if (rate_limiter_ == nullptr && options_.rate_limit_bytes_per_sec > 0) {
+  if (options_.rate_limit_bytes_per_sec > 0) {
     rate_limiter_ =
-        std::make_shared<RateLimiter>(options_.rate_limit_bytes_per_sec);
+        std::make_unique<RateLimiter>(options_.rate_limit_bytes_per_sec);
   }
   if (options_.subcompactions > 1) {
     subcompaction_pool_ =
@@ -995,8 +993,7 @@ bool DB::PickCompaction(CompactionJob* job) {
     for (const auto& f : files) {
       double size = static_cast<double>(f.file_size);
       if (bucket.empty() ||
-          (size >= bucket_avg * options_.size_tiered_bucket_low &&
-           size <= bucket_avg * options_.size_tiered_bucket_high)) {
+          (size >= bucket_avg * 0.5 && size <= bucket_avg * 1.5)) {
         double total = bucket_avg * static_cast<double>(bucket.size()) + size;
         bucket.push_back(f);
         bucket_avg = total / static_cast<double>(bucket.size());

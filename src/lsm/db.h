@@ -386,7 +386,7 @@ class DB {
   /// jobs can share it without deadlock.
   std::unique_ptr<FanoutExecutor> subcompaction_pool_;
   /// Token bucket charged by WriteTables; null when unlimited.
-  std::shared_ptr<RateLimiter> rate_limiter_;
+  std::unique_ptr<RateLimiter> rate_limiter_;
 
   bool shutting_down_ = false;
   bool closed_ = false;

@@ -3,14 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/compression.h"
 
 namespace apmbench {
 class Env;
-class RateLimiter;
 }
 
 namespace apmbench::lsm {
@@ -71,14 +69,9 @@ struct Options {
   /// tradeoff is measured by bench/ablation_compression.
   CompressionType compression = CompressionType::kNone;
 
-  /// Capacity of the shared LRU block cache.
+  /// Capacity of the shared LRU block cache, split over
+  /// kDefaultCacheShardBits (16) independently locked shards.
   size_t block_cache_bytes = 32 * 1024 * 1024;
-
-  /// log2 of the block cache's shard count (4 → 16 shards, the
-  /// LevelDB/RocksDB default). Each shard is an independent LRU with its
-  /// own mutex; more shards means less contention between concurrent
-  /// readers. Clamped to [0, 8].
-  int block_cache_shard_bits = 4;
 
   /// fsync the WAL on every write (the paper's systems run with
   /// group-commit / periodic sync; default off to match).
@@ -86,11 +79,9 @@ struct Options {
 
   CompactionStyle compaction_style = CompactionStyle::kSizeTiered;
 
-  /// Size-tiered: minimum number of similar-sized tables to merge.
+  /// Size-tiered: minimum number of similar-sized tables to merge
+  /// (tables within [avg/2, avg*1.5] of a bucket's mean form one bucket).
   int size_tiered_min_files = 4;
-  /// Size-tiered: tables within [avg*low, avg*high] form one bucket.
-  double size_tiered_bucket_low = 0.5;
-  double size_tiered_bucket_high = 1.5;
 
   /// Leveled: level-0 file count that triggers a compaction.
   int level0_compaction_trigger = 4;
@@ -117,14 +108,9 @@ struct Options {
   int level0_stop_trigger = 36;
 
   /// Byte budget per second for background I/O (flush + compaction),
-  /// enforced by a token-bucket RateLimiter. 0 = unlimited. Ignored when
-  /// `rate_limiter` is set explicitly.
+  /// enforced by a token-bucket RateLimiter private to the DB.
+  /// 0 = unlimited.
   uint64_t rate_limit_bytes_per_sec = 0;
-
-  /// Optional explicit limiter, shared across DBs so several LSM nodes
-  /// of one store draw from a single machine-wide budget. When null and
-  /// rate_limit_bytes_per_sec > 0, the DB creates a private one.
-  std::shared_ptr<RateLimiter> rate_limiter;
 
   /// Number of levels maintained by the leveled strategy.
   static constexpr int kNumLevels = 7;

@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/hash.h"
-#include "common/rate_limiter.h"
 
 namespace apmbench::stores {
 
@@ -50,30 +49,15 @@ Status CassandraStore::Open(const StoreOptions& options,
   }
   std::unique_ptr<CassandraStore> s(new CassandraStore(options));
   s->env_ = options.env != nullptr ? options.env : Env::Default();
-  // One token bucket for the whole store: the simulated nodes share one
-  // machine's disk, so their background I/O draws from one budget.
-  std::shared_ptr<RateLimiter> rate_limiter;
-  if (options.lsm_rate_limit_bytes_per_sec > 0) {
-    rate_limiter =
-        std::make_shared<RateLimiter>(options.lsm_rate_limit_bytes_per_sec);
-  }
   for (int i = 0; i < options.num_nodes; i++) {
     lsm::Options db_options;
     db_options.dir = options.base_dir + "/node" + std::to_string(i);
     db_options.env = options.env;
     db_options.memtable_bytes = options.memtable_bytes;
     db_options.block_cache_bytes = options.block_cache_bytes;
-    db_options.block_cache_shard_bits = options.block_cache_shard_bits;
-    db_options.bloom_bits_per_key = options.bloom_bits_per_key;
     db_options.block_restart_interval = options.lsm_block_restart_interval;
-    db_options.prefix_bloom_length = options.lsm_prefix_bloom_length;
-    db_options.arena_block_bytes = options.lsm_arena_block_bytes;
     db_options.compression = options.lsm_compression;
     db_options.compaction_style = lsm::CompactionStyle::kSizeTiered;
-    db_options.compaction_threads = options.lsm_compaction_threads;
-    db_options.level0_slowdown_trigger = options.lsm_level0_slowdown_trigger;
-    db_options.level0_stop_trigger = options.lsm_level0_stop_trigger;
-    db_options.rate_limiter = rate_limiter;
     std::unique_ptr<lsm::DB> db;
     APM_RETURN_IF_ERROR(lsm::DB::Open(db_options, &db));
     s->nodes_.push_back(std::move(db));

@@ -27,9 +27,6 @@ Status MySQLStore::Open(const StoreOptions& options,
     db_options.path = dir + "/innodb.db";
     db_options.env = options.env;
     db_options.buffer_pool_bytes = options.buffer_pool_bytes;
-    // One shard-bits knob drives both engines' caches: the lsm block
-    // cache and the btree buffer pool share the shard map.
-    db_options.pool_shard_bits = options.block_cache_shard_bits;
     if (options.mysql_binlog) {
       db_options.binlog_path = dir + "/binlog.001";
     }

@@ -55,36 +55,15 @@ struct StoreOptions {
   /// the calling thread participates, so that covers a full fan-out.
   int fanout_threads = 0;
 
-  /// LSM engines (cassandra-like, hbase-like).
+  /// LSM engines (cassandra-like, hbase-like). Every node of the store
+  /// opens with these; the remaining lsm::Options keep their defaults.
   size_t memtable_bytes = 8 * 1024 * 1024;
   size_t block_cache_bytes = 32 * 1024 * 1024;
-  /// log2 of each node's block cache shard count (see lsm::Options).
-  int block_cache_shard_bits = 4;
-  int bloom_bits_per_key = 10;
   /// Entries between restart points in a table block (lsm::Options).
   int lsm_block_restart_interval = 16;
-  /// When > 0, tables also carry a bloom filter over this many leading
-  /// key bytes so bounded scans can skip tables (lsm::Options).
-  size_t lsm_prefix_bloom_length = 0;
-  /// Arena block size for memtable bump allocation (lsm::Options).
-  size_t lsm_arena_block_bytes = 4 * 1024;
   /// SSTable block compression (the paper runs uncompressed; Section 8
   /// lists the compression tradeoff as future work).
   CompressionType lsm_compression = CompressionType::kNone;
-  /// Compaction pool size per LSM node (flushes always get a dedicated
-  /// thread; see lsm::Options::compaction_threads).
-  int lsm_compaction_threads = 2;
-  /// Parallel subcompactions per leveled compaction job (HBase-like
-  /// store); 1 disables splitting.
-  int lsm_subcompactions = 1;
-  /// Write admission control per node: L0 sorted-run counts at which
-  /// writes are first delayed (~1ms once per write) and then blocked
-  /// until compaction catches up. 0 disables a trigger.
-  int lsm_level0_slowdown_trigger = 20;
-  int lsm_level0_stop_trigger = 36;
-  /// Background-I/O (flush + compaction) byte budget per second, shared
-  /// by every node of the store through one token bucket. 0 = unlimited.
-  uint64_t lsm_rate_limit_bytes_per_sec = 0;
 
   /// B+tree engines (mysql-like, voldemort-like).
   size_t buffer_pool_bytes = 32 * 1024 * 1024;

@@ -26,7 +26,6 @@ Status VoldemortStore::Open(const StoreOptions& options,
     db_options.path = dir + "/bdb.db";
     db_options.env = options.env;
     db_options.buffer_pool_bytes = options.buffer_pool_bytes;
-    db_options.pool_shard_bits = options.block_cache_shard_bits;
     std::unique_ptr<btree::BTree> db;
     APM_RETURN_IF_ERROR(btree::BTree::Open(db_options, &db));
     s->nodes_.push_back(std::move(db));

@@ -282,6 +282,75 @@ TEST(HBaseStoreTest, PerCellStorageInflatesDisk) {
   EXPECT_GT(hbase_bytes, cassandra_bytes);
 }
 
+/// The LSM fields of StoreOptions must reach the engine of every node,
+/// not just node 0.
+class LsmStoreOptionsTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  static constexpr int kNodes = 3;
+
+  /// Loads 3000 rows with one loader thread into a fresh 3-node store
+  /// built from `options` and returns each node's engine stats.
+  std::vector<lsm::DB::Stats> LoadAndStat(StoreOptions options) {
+    ScopedTempDir dir(GetParam() + "-options");
+    options.base_dir = dir.path();
+    options.num_nodes = kNodes;
+    return GetParam() == "cassandra" ? Load<CassandraStore>(options)
+                                     : Load<HBaseStore>(options);
+  }
+
+ private:
+  template <typename Store>
+  static std::vector<lsm::DB::Stats> Load(const StoreOptions& options) {
+    std::vector<lsm::DB::Stats> stats;
+    std::unique_ptr<Store> store;
+    Status s = Store::Open(options, &store);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!s.ok()) return stats;
+    Properties props;
+    props.Set("recordcount", "3000");
+    ycsb::CoreWorkload workload(props);
+    EXPECT_TRUE(ycsb::LoadDatabase(store.get(), &workload, 1).ok());
+    for (int i = 0; i < kNodes; i++) stats.push_back(store->NodeStats(i));
+    return stats;
+  }
+};
+
+TEST_P(LsmStoreOptionsTest, MemtableBytesReachesEveryNode) {
+  StoreOptions options;
+  options.memtable_bytes = 32 * 1024;
+  std::vector<lsm::DB::Stats> stats = LoadAndStat(options);
+  ASSERT_EQ(stats.size(), static_cast<size_t>(kNodes));
+  for (int i = 0; i < kNodes; i++) {
+    // At the 8 MiB default no node would flush this load at all.
+    EXPECT_GT(stats[static_cast<size_t>(i)].num_flushes, 0u) << "node " << i;
+  }
+}
+
+TEST_P(LsmStoreOptionsTest, RestartIntervalReachesEveryNode) {
+  StoreOptions options;
+  options.memtable_bytes = 32 * 1024;
+  std::vector<lsm::DB::Stats> base = LoadAndStat(options);
+  options.lsm_block_restart_interval = 1;
+  std::vector<lsm::DB::Stats> full_keys = LoadAndStat(options);
+  ASSERT_EQ(base.size(), static_cast<size_t>(kNodes));
+  ASSERT_EQ(full_keys.size(), static_cast<size_t>(kNodes));
+  for (int i = 0; i < kNodes; i++) {
+    size_t node = static_cast<size_t>(i);
+    // A restart at every entry stores each index key in full (about 1.3x
+    // the default's index here). A memtable rotation waits for the
+    // previous flush, so either run trails its last flush by at most one
+    // of its ~7 per node, which still leaves the full-key index larger.
+    EXPECT_GT(full_keys[node].index_bytes, base[node].index_bytes)
+        << "node " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LsmStores, LsmStoreOptionsTest,
+                         ::testing::Values("cassandra", "hbase"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
 TEST(MySQLStoreTest, LimitScanAblationReturnsPromptly) {
   ScopedTempDir dir("mysql-scan");
   StoreOptions options;

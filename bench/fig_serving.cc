@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
   server_options.port = 0;
   server_options.event_threads =
       static_cast<int>(args.GetInt("event_threads", 2));
-  server_options.worker_threads = static_cast<int>(args.GetInt("workers", 8));
   net::Server server(server_options, db.get());
   status = server.Start();
   if (!status.ok()) {

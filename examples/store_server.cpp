@@ -32,8 +32,7 @@ int Usage(const char* argv0) {
   fprintf(stderr,
           "usage: %s [store=<name>] [dir=<path>] [nodes=N] [host=H] "
           "[port=P] [portfile=F]\n"
-          "          [event_threads=N] [workers=N] [pipeline=N] "
-          "[seconds=S] [compression=none|lz]\n"
+          "          [event_threads=N] [seconds=S] [compression=none|lz]\n"
           "          [<store property>=<value> ...]\n"
           "stores: cassandra hbase voldemort redis voltdb mysql\n",
           argv0);
@@ -73,9 +72,6 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<int>(args.GetInt("port", 7421));
   server_options.event_threads =
       static_cast<int>(args.GetInt("event_threads", 2));
-  server_options.worker_threads = static_cast<int>(args.GetInt("workers", 8));
-  server_options.max_pipeline =
-      static_cast<size_t>(args.GetInt("pipeline", 1024));
   net::Server server(server_options, db.get());
   status = server.Start();
   if (!status.ok()) {
@@ -83,9 +79,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   printf("[store_server] %s on %s, listening on port %d "
-         "(%d event threads, %d workers)\n",
+         "(%d event threads)\n",
          store_name.c_str(), store_options.base_dir.c_str(), server.port(),
-         server_options.event_threads, server_options.worker_threads);
+         server_options.event_threads);
   fflush(stdout);
   std::string portfile = args.GetString("portfile", "");
   if (!portfile.empty()) {

@@ -212,6 +212,17 @@ int DoRun(const Properties& args) {
   }
   printf("%s", result.Summary().c_str());
   int rc = 0;
+  // A failed operation fails the command, not only its summary line (a
+  // read miss is not a failure).
+  uint64_t errors = 0;
+  for (int i = 0; i < ycsb::kNumOpTypes; i++) {
+    errors += result.measurements.error_count(static_cast<ycsb::OpType>(i));
+  }
+  if (errors > 0) {
+    fprintf(stderr, "run: %llu operations failed\n",
+            static_cast<unsigned long long>(errors));
+    rc = 1;
+  }
   if (!series_json.empty()) {
     rc |= WriteOutput(series_json, result.time_series.ToJson(),
                       "time series JSON");

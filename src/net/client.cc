@@ -6,32 +6,53 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <unordered_map>
 
 namespace apmbench::net {
 
-/// One socket plus its bookkeeping. Writes are serialized under
-/// `send_mu` (a frame must hit the stream contiguously); the reader
-/// thread owns the receive side and resolves pending calls by
-/// request_id.
-struct Client::Conn {
-  int fd = -1;
-  std::thread reader;
+namespace {
 
+constexpr size_t kReadChunk = 64 * 1024;
+
+}  // namespace
+
+/// One socket plus its bookkeeping. Writes are serialized under
+/// `send_mu` (a frame must hit the stream contiguously); reads belong to
+/// whichever caller currently leads the socket.
+struct Client::Conn {
+  /// Written only by Close, under `send_mu`, once no caller leads.
+  int fd = -1;
   std::mutex send_mu;
 
   std::mutex mu;
-  std::condition_variable cv;  // signaled when in-flight count drops
+  /// Signaled when in-flight calls resolve, the leader steps down, or the
+  /// socket dies.
+  std::condition_variable cv;
   std::unordered_map<uint64_t, std::shared_ptr<Pending>> pending;
+  /// Callers blocked in Wait() while another caller leads, in arrival
+  /// order: the candidates to lead next.
+  std::vector<Pending*> waiters;
+  bool leading = false;
   bool dead = false;
   Status death_status;
+
+  /// A reply read off the socket but not yet handed to its caller.
+  struct Reply {
+    uint64_t request_id = 0;
+    bool ok = false;
+    Response response;
+  };
+  // Leader only.
+  FrameDecoder decoder;
+  std::vector<Reply> replies;
 };
 
 Status Client::Pending::Wait() {
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [this] { return done; });
-  return transport;
+  if (conn == nullptr) return transport;
+  return Await(this);
 }
 
 Client::Client(const ClientOptions& options) : options_(options) {}
@@ -65,30 +86,28 @@ Status Client::Connect() {
     }
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Conn>();
+    auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     conns_.push_back(std::move(conn));
-  }
-  for (auto& conn : conns_) {
-    conn->reader = std::thread(&Client::ReaderMain, this, conn.get());
   }
   connected_ = true;
   return Status::OK();
 }
 
 void Client::Close() {
+  // shutdown() makes a leader's recv and any blocked send return at once.
+  for (auto& conn : conns_) shutdown(conn->fd, SHUT_RDWR);
   for (auto& conn : conns_) {
-    // shutdown() unblocks the reader's recv; the reader then fails any
-    // stragglers and exits.
-    if (conn->fd >= 0) shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (auto& conn : conns_) {
-    if (conn->reader.joinable()) conn->reader.join();
-    FailAll(conn.get(), Status::IOError("client closed"));
-    if (conn->fd >= 0) {
-      close(conn->fd);
-      conn->fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(conn->mu);
+      FailAll(conn.get(), Status::IOError("client closed"));
+      // A dead socket gets no new leader; wait out the current one before
+      // its fd can be closed and recycled.
+      conn->cv.wait(lock, [&] { return !conn->leading; });
     }
+    std::lock_guard<std::mutex> lock(conn->send_mu);
+    close(conn->fd);
+    conn->fd = -1;
   }
   conns_.clear();
   connected_ = false;
@@ -97,31 +116,35 @@ void Client::Close() {
 std::shared_ptr<Client::Pending> Client::AsyncCall(const Request& request) {
   auto handle = std::make_shared<Pending>();
   if (conns_.empty()) {
-    std::lock_guard<std::mutex> lock(handle->mu);
     handle->done = true;
     handle->transport = Status::InvalidArgument("client not connected");
     return handle;
   }
-  Conn* conn = conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-                      conns_.size()]
-                   .get();
+  std::shared_ptr<Conn> conn =
+      conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
+             conns_.size()];
   const uint64_t id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   {
     std::unique_lock<std::mutex> lock(conn->mu);
-    conn->cv.wait(lock, [&] {
-      return conn->dead || conn->pending.size() < options_.max_pipeline;
-    });
+    while (!conn->dead && conn->pending.size() >= options_.max_pipeline) {
+      if (conn->leading) {
+        conn->cv.wait(lock);
+      } else {
+        // Nobody is reading the replies that would open the window.
+        Lead(conn.get(), nullptr, options_.max_pipeline, &lock);
+      }
+    }
     if (conn->dead) {
-      std::lock_guard<std::mutex> hl(handle->mu);
       handle->done = true;
       handle->transport = conn->death_status;
       return handle;
     }
+    handle->conn = conn;
     conn->pending.emplace(id, handle);
   }
   std::string wire;
   EncodeRequest(request, id, &wire);
-  bool write_failed = false;
+  Status send_error;
   {
     std::lock_guard<std::mutex> lock(conn->send_mu);
     size_t sent = 0;
@@ -130,14 +153,15 @@ std::shared_ptr<Client::Pending> Client::AsyncCall(const Request& request) {
                        MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EINTR) continue;
-        write_failed = true;
+        send_error = Status::IOError(std::string("send: ") + strerror(errno));
         break;
       }
       sent += static_cast<size_t>(n);
     }
   }
-  if (write_failed) {
-    FailAll(conn, Status::IOError(std::string("send: ") + strerror(errno)));
+  if (!send_error.ok()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    FailAll(conn.get(), send_error);
   }
   return handle;
 }
@@ -150,71 +174,96 @@ Status Client::Call(const Request& request, Response* response) {
   return response->status;
 }
 
-void Client::ReaderMain(Conn* conn) {
-  FrameDecoder decoder;
-  char buf[64 * 1024];
-  for (;;) {
+Status Client::Await(Pending* handle) {
+  Conn* conn = handle->conn.get();
+  std::unique_lock<std::mutex> lock(conn->mu);
+  while (!handle->done) {
+    if (!conn->leading) {
+      Lead(conn, handle, 0, &lock);
+      break;
+    }
+    conn->waiters.push_back(handle);
+    handle->cv.wait(lock);
+    auto it = std::find(conn->waiters.begin(), conn->waiters.end(), handle);
+    if (it != conn->waiters.end()) conn->waiters.erase(it);
+  }
+  return handle->transport;
+}
+
+void Client::Lead(Conn* conn, Pending* self, size_t window,
+                  std::unique_lock<std::mutex>* lock) {
+  conn->leading = true;
+  char buf[kReadChunk];
+  // A dead socket has resolved every call, `self` included.
+  while (!conn->dead &&
+         (self != nullptr ? !self->done : conn->pending.size() >= window)) {
+    lock->unlock();
+    Status error;
     ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      FailAll(conn, Status::IOError(std::string("recv: ") + strerror(errno)));
-      return;
-    }
-    if (n == 0) {
-      FailAll(conn, Status::IOError("connection closed by server"));
-      return;
-    }
-    decoder.Feed(buf, static_cast<size_t>(n));
-    Frame frame;
-    for (;;) {
-      FrameDecoder::Result r = decoder.Next(&frame);
-      if (r == FrameDecoder::Result::kNeedMore) break;
-      if (r == FrameDecoder::Result::kError) {
-        FailAll(conn, Status::Corruption("bad response frame: " +
-                                         decoder.error()));
-        return;
-      }
-      std::shared_ptr<Pending> handle;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        auto it = conn->pending.find(frame.request_id);
-        if (it != conn->pending.end()) {
-          handle = std::move(it->second);
-          conn->pending.erase(it);
+    if (n > 0) {
+      conn->decoder.Feed(buf, static_cast<size_t>(n));
+      Frame frame;
+      for (;;) {
+        FrameDecoder::Result r = conn->decoder.Next(&frame);
+        if (r == FrameDecoder::Result::kNeedMore) break;
+        if (r == FrameDecoder::Result::kError) {
+          error = Status::Corruption("bad response frame: " +
+                                     conn->decoder.error());
+          break;
         }
+        Conn::Reply& reply = conn->replies.emplace_back();
+        reply.request_id = frame.request_id;
+        reply.ok = DecodeResponse(frame, &reply.response);
       }
-      conn->cv.notify_all();
-      if (handle == nullptr) continue;  // duplicate/unknown id: ignore
-      Response response;
-      const bool ok = DecodeResponse(frame, &response);
-      std::lock_guard<std::mutex> lock(handle->mu);
+    } else if (n == 0) {
+      error = Status::IOError("connection closed by server");
+    } else if (errno != EINTR) {
+      error = Status::IOError(std::string("recv: ") + strerror(errno));
+    }
+    lock->lock();
+    for (Conn::Reply& reply : conn->replies) {
+      auto it = conn->pending.find(reply.request_id);
+      if (it == conn->pending.end()) continue;  // duplicate/unknown id
+      std::shared_ptr<Pending> handle = std::move(it->second);
+      conn->pending.erase(it);
       handle->done = true;
-      if (ok) {
-        handle->response_ = std::move(response);
+      if (reply.ok) {
+        handle->response_ = std::move(reply.response);
       } else {
         handle->transport = Status::Corruption("malformed response payload");
       }
-      handle->cv.notify_all();
+      if (handle.get() != self) handle->cv.notify_one();
+    }
+    if (!conn->replies.empty()) conn->cv.notify_all();
+    conn->replies.clear();
+    if (!error.ok()) FailAll(conn, error);
+  }
+  conn->leading = false;
+  // Hand the socket to a caller blocked in Wait(), never merely to a
+  // pending handle: nobody may be waiting on an AsyncCall handle.
+  while (!conn->waiters.empty()) {
+    Pending* next = conn->waiters.front();
+    conn->waiters.erase(conn->waiters.begin());
+    if (!next->done) {
+      next->cv.notify_one();
+      break;
     }
   }
+  conn->cv.notify_all();  // window waiters and Close
 }
 
 void Client::FailAll(Conn* conn, const Status& status) {
-  std::unordered_map<uint64_t, std::shared_ptr<Pending>> orphans;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->dead) return;
-    conn->dead = true;
-    conn->death_status = status;
-    orphans.swap(conn->pending);
-  }
-  conn->cv.notify_all();
-  for (auto& [id, handle] : orphans) {
-    std::lock_guard<std::mutex> lock(handle->mu);
+  if (conn->dead) return;
+  conn->dead = true;
+  conn->death_status = status;
+  for (auto& [id, handle] : conn->pending) {
     handle->done = true;
     handle->transport = status;
-    handle->cv.notify_all();
+    handle->cv.notify_one();
   }
+  conn->pending.clear();
+  conn->waiters.clear();
+  conn->cv.notify_all();
 }
 
 }  // namespace apmbench::net

@@ -7,8 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -22,14 +20,21 @@ struct ClientOptions {
   /// Sockets to open; requests are spread round-robin. Many workload
   /// threads can multiplex pipelined requests over few sockets.
   int connections = 1;
-  /// Cap on in-flight requests per socket; `Call` blocks past it.
+  /// Cap on in-flight requests per socket; `AsyncCall` blocks past it.
   size_t max_pipeline = 128;
 };
 
-/// An asynchronous binary-protocol client: N sockets, each with a reader
-/// thread matching responses to callers by request_id, so any number of
-/// threads can pipeline requests concurrently over the same socket.
+/// An asynchronous binary-protocol client over N sockets that runs no
+/// threads of its own. A caller waiting for its reply reads the socket
+/// itself (leader/follower): at most one caller per socket, the leader,
+/// is inside `recv`. It resolves every reply it reads by request_id,
+/// waking the callers they belong to, and once its own reply is in it
+/// hands the socket to one caller still blocked in `Wait()`. Any number
+/// of threads can therefore pipeline requests over the same socket.
 class Client {
+ private:
+  struct Conn;
+
  public:
   /// A pending remote call. Wait() blocks until the response (or the
   /// connection's failure) arrives.
@@ -42,7 +47,10 @@ class Client {
 
    private:
     friend class Client;
-    std::mutex mu;
+    /// The socket the request went out on; null when the call failed
+    /// before it was sent (`done` is then already set).
+    std::shared_ptr<Conn> conn;
+    // Guarded by conn->mu.
     std::condition_variable cv;
     bool done = false;
     Status transport;
@@ -55,14 +63,18 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Opens all sockets and starts reader threads.
+  /// Opens all sockets.
   Status Connect();
-  /// Fails outstanding calls, closes sockets, joins readers. Idempotent.
+  /// Fails outstanding calls and closes the sockets once no caller is
+  /// reading them. Idempotent.
   void Close();
 
   /// Sends `request` on one of the sockets; the returned handle resolves
   /// when the reply arrives. Blocks only when the chosen socket already
-  /// has max_pipeline requests in flight.
+  /// has max_pipeline requests in flight, and then reads replies itself
+  /// if no caller is. Replies are otherwise read only by callers in
+  /// Wait(), so a thread that never waits gets its replies read by
+  /// others or not at all.
   std::shared_ptr<Pending> AsyncCall(const Request& request);
 
   /// AsyncCall + Wait. On transport failure returns that error; otherwise
@@ -70,14 +82,21 @@ class Client {
   Status Call(const Request& request, Response* response);
 
  private:
-  struct Conn;
-
-  void ReaderMain(Conn* conn);
-  /// Fails every pending call on `conn` and marks it dead.
-  void FailAll(Conn* conn, const Status& status);
+  /// Blocks until `handle` resolves, leading the socket whenever no
+  /// other caller does.
+  static Status Await(Pending* handle);
+  /// Reads replies off `conn` as its leader until `self` resolves or,
+  /// with no `self`, until fewer than `window` calls are in flight; then
+  /// hands the socket on. Called and returns with `*lock` held on
+  /// conn->mu and no other leader.
+  static void Lead(Conn* conn, Pending* self, size_t window,
+                   std::unique_lock<std::mutex>* lock);
+  /// Fails every pending call on `conn` and marks it dead. Caller holds
+  /// conn->mu.
+  static void FailAll(Conn* conn, const Status& status);
 
   const ClientOptions options_;
-  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<std::shared_ptr<Conn>> conns_;
   std::atomic<uint64_t> next_conn_{0};
   std::atomic<uint64_t> next_request_id_{1};
   bool connected_ = false;

@@ -21,50 +21,35 @@ constexpr size_t kReadChunk = 64 * 1024;
 
 }  // namespace
 
-/// Per-connection state. The owning event loop is the only thread that
-/// touches the fd, the epoll registration, and the decoder; everything
-/// under `mu` is shared with workers. The fd is closed exactly once, by
-/// the owning loop, which also removes the connection from its map — a
-/// worker never holds a raw fd, so an abrupt client disconnect can
-/// neither leak the descriptor nor let a stale worker write into a
-/// recycled one.
+/// Per-connection state, touched only by the owning event loop: it
+/// reads, executes, writes and finally closes the fd, so an abrupt client
+/// disconnect can neither leak the descriptor nor let a stale write land
+/// in a recycled one.
 struct Server::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
 
   const int fd;
-  EventLoop* loop = nullptr;
-  FrameDecoder decoder;  // event-loop thread only
-
-  std::mutex mu;
-  /// Decoded requests awaiting execution, in arrival order.
-  std::deque<std::pair<uint64_t, Request>> pending;
-  /// True while the connection is queued for / being drained by a worker.
-  bool scheduled = false;
-  /// True when max_pipeline stopped the read path; the worker clears it
-  /// and wakes the loop once the backlog drains.
-  bool read_paused = false;
+  FrameDecoder decoder;
   /// Encoded responses not yet written to the socket. Per-connection, so
   /// a half-written response to a vanished client can never bleed into
   /// another connection's stream.
   std::string outbuf;
+  /// Set while `outbuf` holds bytes the socket would not take: the loop
+  /// then neither reads nor executes until EPOLLOUT drains it.
+  bool read_paused = false;
   bool want_write = false;  // EPOLLOUT armed
   bool closed = false;
-  /// Set with `closed` when the loop must flush-then-close (not used yet;
-  /// teardown currently drops undelivered output).
-  bool notified = false;  // already in the loop's notify queue
 };
 
-/// One epoll event loop: its own epoll set, a wakeup eventfd, and the
-/// connections it owns.
+/// One epoll event loop: its own epoll set, an eventfd that Stop() uses
+/// to wake it, and the connections it owns.
 struct Server::EventLoop {
-  int index = 0;
   int epoll_fd = -1;
   int wake_fd = -1;
 
+  /// Guards `conns`: the accepting loop inserts into every loop's map.
   std::mutex mu;
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
-  /// Connections whose workers produced output or resumed reading.
-  std::deque<std::shared_ptr<Connection>> notify_queue;
 };
 
 Server::Server(const ServerOptions& options, ycsb::DB* db)
@@ -73,9 +58,8 @@ Server::Server(const ServerOptions& options, ycsb::DB* db)
 Server::~Server() { Stop(); }
 
 Status Server::Start() {
-  if (running_.exchange(true)) {
-    return Status::InvalidArgument("server already started");
-  }
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+  if (running_) return Status::InvalidArgument("server already started");
   stopping_.store(false);
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -112,7 +96,6 @@ Status Server::Start() {
   const int nloops = options_.event_threads > 0 ? options_.event_threads : 1;
   for (int i = 0; i < nloops; i++) {
     auto loop = std::make_unique<EventLoop>();
-    loop->index = i;
     loop->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
     loop->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (loop->epoll_fd < 0 || loop->wake_fd < 0) {
@@ -126,7 +109,6 @@ Status Server::Start() {
         close(l->wake_fd);
       }
       loops_.clear();
-      running_.store(false);
       return s;
     }
     epoll_event ev{};
@@ -145,49 +127,37 @@ Status Server::Start() {
   for (auto& loop : loops_) {
     loop_threads_.emplace_back(&Server::EventLoopMain, this, loop.get());
   }
-  const int nworkers = options_.worker_threads > 0 ? options_.worker_threads
-                                                   : 1;
-  for (int i = 0; i < nworkers; i++) {
-    worker_threads_.emplace_back(&Server::WorkerMain, this);
-  }
+  running_ = true;
   return Status::OK();
 }
 
 void Server::Stop() {
-  if (!running_.load() || stopping_.exchange(true)) {
-    // Already stopped or another Stop in flight; wait for threads below
-    // only from the first caller.
-    if (!running_.load()) return;
-  }
-  // Wake every loop; they close their connections and exit.
+  // A concurrent second caller blocks here until the first has joined
+  // the loops and closed every fd, then finds nothing left to do.
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
+  if (!running_) return;
+  stopping_.store(true, std::memory_order_release);
+  // Wake every loop; each exits at its next check of stopping_.
   for (auto& loop : loops_) {
     uint64_t one = 1;
     ssize_t ignored = write(loop->wake_fd, &one, sizeof(one));
     (void)ignored;
   }
-  for (auto& t : loop_threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& t : loop_threads_) t.join();
   loop_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_.clear();
-  }
-  work_cv_.notify_all();
-  for (auto& t : worker_threads_) {
-    if (t.joinable()) t.join();
-  }
-  worker_threads_.clear();
+  // With every loop joined, close the connections they owned (including
+  // any the accepting loop handed to a loop that had already exited).
   for (auto& loop : loops_) {
+    std::vector<std::shared_ptr<Connection>> leftover;
+    for (auto& [fd, conn] : loop->conns) leftover.push_back(conn);
+    for (auto& conn : leftover) Teardown(loop.get(), conn, false);
     close(loop->epoll_fd);
     close(loop->wake_fd);
   }
   loops_.clear();
-  if (listen_fd_ >= 0) {
-    close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  running_.store(false);
+  close(listen_fd_);
+  listen_fd_ = -1;
+  running_ = false;
 }
 
 Server::Stats Server::GetStats() const {
@@ -215,34 +185,7 @@ void Server::EventLoopMain(EventLoop* loop) {
     }
     for (int i = 0; i < n; i++) {
       const epoll_event& ev = events[i];
-      if (ev.data.fd == loop->wake_fd) {
-        uint64_t drain;
-        while (read(loop->wake_fd, &drain, sizeof(drain)) > 0) {
-        }
-        // Handle worker notifications: flush new output, resume paused
-        // reads.
-        for (;;) {
-          std::shared_ptr<Connection> conn;
-          {
-            std::lock_guard<std::mutex> lock(loop->mu);
-            if (loop->notify_queue.empty()) break;
-            conn = std::move(loop->notify_queue.front());
-            loop->notify_queue.pop_front();
-          }
-          bool resume_read = false;
-          {
-            std::lock_guard<std::mutex> lock(conn->mu);
-            conn->notified = false;
-            if (conn->closed) continue;
-            resume_read = !conn->read_paused && conn->decoder.error().empty();
-          }
-          FlushWrite(loop, conn);
-          // The worker may have lifted backpressure: parse whatever is
-          // already buffered and pull fresh bytes off the socket.
-          if (resume_read) DrainRead(loop, conn);
-        }
-        continue;
-      }
+      if (ev.data.fd == loop->wake_fd) continue;  // Stop(): loop re-checks
       if (ev.data.fd == listen_fd_) {
         AcceptAll(loop);
         continue;
@@ -258,17 +201,19 @@ void Server::EventLoopMain(EventLoop* loop) {
         Teardown(loop, conn, /*protocol_error=*/false);
         continue;
       }
-      if (ev.events & EPOLLOUT) FlushWrite(loop, conn);
+      if (ev.events & EPOLLOUT) {
+        if (!FlushWrite(loop, conn)) continue;
+        if (conn->read_paused && conn->outbuf.empty()) {
+          // Output drained: resume with the frames already buffered
+          // (edge-triggered epoll will not re-report them) and the socket.
+          conn->read_paused = false;
+          DrainRead(loop, conn);
+          continue;
+        }
+      }
       if (ev.events & (EPOLLIN | EPOLLRDHUP)) DrainRead(loop, conn);
     }
   }
-  // Shutdown: close every connection this loop owns.
-  std::vector<std::shared_ptr<Connection>> leftover;
-  {
-    std::lock_guard<std::mutex> lock(loop->mu);
-    for (auto& [fd, conn] : loop->conns) leftover.push_back(conn);
-  }
-  for (auto& conn : leftover) Teardown(loop, conn, false);
 }
 
 void Server::AcceptAll(EventLoop* accept_loop) {
@@ -292,7 +237,6 @@ void Server::AcceptAll(EventLoop* accept_loop) {
         loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) %
                loops_.size()]
             .get();
-    conn->loop = target;
     {
       std::lock_guard<std::mutex> lock(target->mu);
       target->conns.emplace(fd, conn);
@@ -313,43 +257,42 @@ void Server::AcceptAll(EventLoop* accept_loop) {
 
 void Server::DrainRead(EventLoop* loop,
                        const std::shared_ptr<Connection>& conn) {
+  if (conn->closed || conn->read_paused) return;
   char buf[kReadChunk];
+  Response response;
   for (;;) {
-    // Extract every complete frame already buffered, unless backpressure
-    // pauses the pipeline.
+    // Execute every complete frame already buffered, in order, replying
+    // into the output buffer; flush once per round.
+    bool executed = false;
     for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->closed) return;
-        if (conn->pending.size() >= options_.max_pipeline) {
-          conn->read_paused = true;
-          return;  // leave unread bytes in the socket: TCP backpressure
-        }
-      }
       Frame frame;
       FrameDecoder::Result r = conn->decoder.Next(&frame);
       if (r == FrameDecoder::Result::kNeedMore) break;
-      if (r == FrameDecoder::Result::kError) {
-        Teardown(loop, conn, /*protocol_error=*/true);
-        return;
-      }
       Request request;
-      if (!DecodeRequest(frame, &request)) {
+      if (r == FrameDecoder::Result::kError ||
+          !DecodeRequest(frame, &request)) {
         Teardown(loop, conn, /*protocol_error=*/true);
         return;
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
-      bool schedule = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->pending.emplace_back(frame.request_id, std::move(request));
-        if (!conn->scheduled) {
-          conn->scheduled = true;
-          schedule = true;
-        }
-      }
-      if (schedule) EnqueueWork(conn);
+      ExecuteRequest(request, &response);
+      EncodeResponse(request.op, frame.request_id, response, &conn->outbuf);
+      responses_.fetch_add(1, std::memory_order_relaxed);
+      executed = true;
+      // Bound the output one round can pile up (a burst of scans).
+      if (conn->outbuf.size() >= kReadChunk) break;
     }
+    if (executed) {
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      if (!FlushWrite(loop, conn)) return;
+    }
+    if (!conn->outbuf.empty()) {
+      // Backpressure: read and execute nothing more until the client
+      // takes its replies; the EPOLLOUT drain resumes this connection.
+      conn->read_paused = true;
+      return;
+    }
+    if (executed) continue;  // a round may have stopped early
     ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<uint64_t>(n),
@@ -358,8 +301,8 @@ void Server::DrainRead(EventLoop* loop,
       continue;
     }
     if (n == 0) {
-      // Orderly close from the peer; undelivered pipeline output is
-      // dropped with the connection.
+      // Orderly close from the peer; undelivered output is dropped with
+      // the connection.
       Teardown(loop, conn, /*protocol_error=*/false);
       return;
     }
@@ -370,56 +313,45 @@ void Server::DrainRead(EventLoop* loop,
   }
 }
 
-void Server::FlushWrite(EventLoop* loop,
+bool Server::FlushWrite(EventLoop* loop,
                         const std::shared_ptr<Connection>& conn) {
-  std::unique_lock<std::mutex> lock(conn->mu);
-  if (conn->closed) return;
-  while (!conn->outbuf.empty()) {
-    ssize_t n = send(conn->fd, conn->outbuf.data(), conn->outbuf.size(),
-                     MSG_NOSIGNAL);
+  if (conn->closed) return false;
+  size_t sent = 0;
+  while (sent < conn->outbuf.size()) {
+    ssize_t n = send(conn->fd, conn->outbuf.data() + sent,
+                     conn->outbuf.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_out_.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
-      conn->outbuf.erase(0, static_cast<size_t>(n));
+      sent += static_cast<size_t>(n);
       continue;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (!conn->want_write) {
-        conn->want_write = true;
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET;
-        ev.data.fd = conn->fd;
-        epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
-      return;
-    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     // Peer vanished mid-response (EPIPE/ECONNRESET). The half-written
     // bytes die with this connection's private buffer.
-    lock.unlock();
     Teardown(loop, conn, /*protocol_error=*/false);
-    return;
+    return false;
   }
-  if (conn->want_write) {
-    conn->want_write = false;
+  bytes_out_.fetch_add(sent, std::memory_order_relaxed);
+  conn->outbuf.erase(0, sent);
+  const bool want_write = !conn->outbuf.empty();
+  if (want_write != conn->want_write) {
+    conn->want_write = want_write;
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
+    if (want_write) ev.events |= EPOLLOUT;
     ev.data.fd = conn->fd;
     epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
+  return true;
 }
 
 void Server::Teardown(EventLoop* loop,
                       const std::shared_ptr<Connection>& conn,
                       bool protocol_error) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return;
-    conn->closed = true;
-    conn->pending.clear();
-    conn->outbuf.clear();
-    conn->outbuf.shrink_to_fit();
-  }
+  if (conn->closed) return;
+  conn->closed = true;
+  conn->outbuf.clear();
+  conn->outbuf.shrink_to_fit();
   {
     std::lock_guard<std::mutex> lock(loop->mu);
     loop->conns.erase(conn->fd);
@@ -429,25 +361,6 @@ void Server::Teardown(EventLoop* loop,
   closed_.fetch_add(1, std::memory_order_relaxed);
   open_.fetch_sub(1, std::memory_order_relaxed);
   if (protocol_error) bad_frames_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Server::EnqueueWork(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_.push_back(conn);
-  }
-  work_cv_.notify_one();
-}
-
-void Server::NotifyLoop(const std::shared_ptr<Connection>& conn) {
-  EventLoop* loop = conn->loop;
-  {
-    std::lock_guard<std::mutex> lock(loop->mu);
-    loop->notify_queue.push_back(conn);
-  }
-  uint64_t one = 1;
-  ssize_t ignored = write(loop->wake_fd, &one, sizeof(one));
-  (void)ignored;
 }
 
 void Server::ExecuteRequest(const Request& request, Response* response) {
@@ -477,61 +390,6 @@ void Server::ExecuteRequest(const Request& request, Response* response) {
     case Opcode::kDiskUsage:
       response->status = db_->DiskUsage(&response->disk_bytes);
       break;
-  }
-}
-
-void Server::WorkerMain() {
-  for (;;) {
-    std::shared_ptr<Connection> conn;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               !work_queue_.empty();
-      });
-      if (work_queue_.empty()) return;  // stopping
-      conn = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    // Drain this connection's pipeline: take the whole backlog at once
-    // (the server-side batch), execute in order, then hand the encoded
-    // responses back to the event loop in one notification.
-    for (;;) {
-      std::deque<std::pair<uint64_t, Request>> batch;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->pending.empty() || conn->closed) {
-          conn->scheduled = false;
-          break;
-        }
-        batch.swap(conn->pending);
-      }
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      std::string out;
-      Response response;
-      for (const auto& [request_id, request] : batch) {
-        ExecuteRequest(request, &response);
-        EncodeResponse(request.op, request_id, response, &out);
-        responses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      bool notify = false;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->closed) {
-          conn->outbuf.append(out);
-          // Lift backpressure once the backlog has drained.
-          if (conn->read_paused &&
-              conn->pending.size() < options_.max_pipeline / 2 + 1) {
-            conn->read_paused = false;
-          }
-          if (!conn->notified) {
-            conn->notified = true;
-            notify = true;
-          }
-        }
-      }
-      if (notify) NotifyLoop(conn);
-    }
   }
 }
 

@@ -2,9 +2,7 @@
 #define APMBENCH_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -23,18 +21,10 @@ struct ServerOptions {
   /// Start (tests and single-machine benches never collide).
   int port = 0;
   /// Event-loop threads. Each owns an epoll set; connections are assigned
-  /// round-robin at accept and stay on their loop for life.
+  /// round-robin at accept and stay on their loop for life. A loop runs
+  /// its connections' requests inline, so this is also the number of
+  /// requests the server executes at once.
   int event_threads = 1;
-  /// Worker threads executing decoded requests against the store. One
-  /// worker drains one connection at a time (responses stay in request
-  /// order — the pipelining contract); concurrent workers on different
-  /// connections are what feed the engines' group commit.
-  int worker_threads = 4;
-  /// Per-connection cap on decoded-but-unexecuted requests. Beyond it the
-  /// server stops reading from that socket (TCP backpressure) until the
-  /// backlog drains — load shedding for a client that pipelines faster
-  /// than the store executes.
-  size_t max_pipeline = 1024;
 };
 
 /// An epoll-based (edge-triggered) binary-protocol server hosting one
@@ -50,7 +40,9 @@ class Server {
 
   Status Start();
   /// Closes every connection (dropping undelivered output and pending
-  /// requests), stops all threads, and releases every fd. Idempotent.
+  /// requests), stops all threads, and releases every fd. Idempotent and
+  /// safe to call from several threads at once: every caller returns
+  /// only after the server is fully stopped.
   void Stop();
 
   /// The bound port (after Start).
@@ -67,8 +59,8 @@ class Server {
     uint64_t bad_frames = 0;
     uint64_t bytes_in = 0;
     uint64_t bytes_out = 0;
-    /// Worker drain rounds; requests / batches > 1 means pipelined
-    /// requests were executed in server-side batches.
+    /// Rounds of frames executed between two flushes; requests / batches
+    /// > 1 means pipelined requests shared one reply write.
     uint64_t batches = 0;
   };
   Stats GetStats() const;
@@ -78,37 +70,29 @@ class Server {
   struct EventLoop;
 
   void EventLoopMain(EventLoop* loop);
-  void WorkerMain();
 
   void AcceptAll(EventLoop* loop);
   void DrainRead(EventLoop* loop, const std::shared_ptr<Connection>& conn);
-  void FlushWrite(EventLoop* loop, const std::shared_ptr<Connection>& conn);
+  /// Sends as much of conn's output as the socket takes; returns false
+  /// if that tore the connection down.
+  bool FlushWrite(EventLoop* loop, const std::shared_ptr<Connection>& conn);
   void Teardown(EventLoop* loop, const std::shared_ptr<Connection>& conn,
                 bool protocol_error);
-  /// Queues `conn` for a worker (caller must have set conn->scheduled).
-  void EnqueueWork(const std::shared_ptr<Connection>& conn);
-  /// Wakes `loop` to flush `conn`'s output / resume reading.
-  void NotifyLoop(const std::shared_ptr<Connection>& conn);
   void ExecuteRequest(const Request& request, Response* response);
 
   const ServerOptions options_;
   ycsb::DB* const db_;
 
+  /// Serializes Start and Stop.
+  std::mutex lifecycle_mu_;
   int listen_fd_ = -1;
   int port_ = 0;
-  std::atomic<bool> running_{false};
+  bool running_ = false;  // guarded by lifecycle_mu_
   std::atomic<bool> stopping_{false};
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::thread> loop_threads_;
   std::atomic<uint64_t> next_loop_{0};
-
-  // Worker pool: connections with pending requests, one entry per
-  // scheduled connection.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<std::shared_ptr<Connection>> work_queue_;
-  std::vector<std::thread> worker_threads_;
 
   // Stats (relaxed atomics; read via GetStats).
   std::atomic<uint64_t> accepted_{0}, closed_{0}, open_{0}, requests_{0},

@@ -1,7 +1,9 @@
 // Tests for the binary-protocol serving layer (src/net): frame codec
 // round-trips, torn/garbage/oversized-frame handling in the incremental
-// decoder, socket-level pipelining, abrupt-disconnect robustness (no fd
-// leaks, no cross-connection corruption), and the RemoteStore end to end.
+// decoder, socket-level pipelining, backpressure, abrupt-disconnect and
+// concurrent-Stop robustness (no fd leaks, no cross-connection
+// corruption), the client's leader/follower reads, and the RemoteStore
+// end to end.
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -11,7 +13,9 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -553,6 +557,129 @@ TEST_F(ServerTest, StopWithLiveConnectionsReleasesEverything) {
   server_->Stop();  // idempotent
 }
 
+TEST_F(ServerTest, ConcurrentStopWithLiveConnections) {
+  const int baseline_fds = CountOpenFds();
+  ServerOptions options;
+  options.event_threads = 2;
+  StartServer(options);
+  std::vector<int> fds;
+  for (int i = 0; i < 8; i++) fds.push_back(Dial());
+  ASSERT_TRUE(WaitForOpenConnections(8));
+  // Half the connections have requests in flight when the server stops.
+  std::string wire;
+  for (int i = 0; i < 16; i++) {
+    Request request;
+    request.op = Opcode::kInsert;
+    request.table = "t";
+    request.key = "stop" + std::to_string(i);
+    request.record = MakeRecord(4);
+    EncodeRequest(request, 1 + i, &wire);
+  }
+  for (int i = 0; i < 4; i++) WriteAll(fds[i], wire);
+
+  // Both callers return only once the server is fully stopped.
+  std::vector<std::thread> stoppers;
+  for (int i = 0; i < 2; i++) {
+    stoppers.emplace_back([this] {
+      server_->Stop();
+      EXPECT_EQ(server_->GetStats().open_connections, 0u);
+    });
+  }
+  for (auto& t : stoppers) t.join();
+  server_.reset();  // the destructor's Stop finds nothing left to do
+  for (int fd : fds) close(fd);
+  EXPECT_EQ(CountOpenFds(), baseline_fds);
+}
+
+TEST_F(ServerTest, BackpressureStopsReadingUntilRepliesAreTaken) {
+  StartServer();
+  int fd = Dial();
+  // A large record makes every read reply about 8 KiB, so a client that
+  // pipelines reads and never takes the replies fills its socket fast.
+  ycsb::Record big;
+  size_t first_bytes = 0;
+  for (int i = 0; i < 8; i++) {
+    big.emplace_back("field" + std::to_string(i), std::string(1024, 'a' + i));
+  }
+  {
+    Request insert;
+    insert.op = Opcode::kInsert;
+    insert.table = "t";
+    insert.key = "big";
+    insert.record = big;
+    std::string wire;
+    EncodeRequest(insert, 1, &wire);
+    WriteAll(fd, wire);
+    ASSERT_EQ(ReadFrames(fd, 1).size(), 1u);
+    first_bytes = wire.size();
+  }
+
+  // Several MB of pipelined insert + read pairs.
+  constexpr size_t kWireBytes = 3 << 20;
+  std::string wire;
+  uint64_t next_id = 2;
+  while (wire.size() < kWireBytes) {
+    Request insert;
+    insert.op = Opcode::kInsert;
+    insert.table = "t";
+    insert.key = "bp" + std::to_string(next_id);
+    insert.record = {{"f", std::string(512, 'x')}};
+    EncodeRequest(insert, next_id++, &wire);
+    Request read;
+    read.op = Opcode::kRead;
+    read.table = "t";
+    read.key = "big";
+    EncodeRequest(read, next_id++, &wire);
+  }
+  const uint64_t frames = next_id - 2;
+  std::thread writer([&] { WriteAll(fd, wire); });
+
+  // The server stops reading once its replies back up: bytes_in settles
+  // far below what the client has pipelined.
+  uint64_t last = 0;
+  int stable = 0;
+  for (int i = 0; i < 400 && stable < 10; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t now = server_->GetStats().bytes_in;
+    stable = now == last ? stable + 1 : 0;
+    last = now;
+  }
+  EXPECT_EQ(stable, 10) << "bytes_in never stopped growing";
+  EXPECT_LT(last, wire.size() / 2);
+
+  // Taking the replies resumes the server: every reply arrives, in order.
+  FrameDecoder decoder;
+  char buf[64 * 1024];
+  uint64_t expect_id = 2;
+  bool in_order = true;
+  while (expect_id < next_id) {
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    decoder.Feed(buf, static_cast<size_t>(n));
+    Frame frame;
+    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      Response response;
+      if (frame.request_id != expect_id || !DecodeResponse(frame, &response) ||
+          !response.status.ok() ||
+          (expect_id % 2 == 1 && response.record != big)) {
+        in_order = false;
+      }
+      expect_id++;
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(expect_id - 2, frames);
+  close(fd);
+  ASSERT_TRUE(WaitForOpenConnections(0));
+  Server::Stats stats = server_->GetStats();
+  EXPECT_EQ(stats.requests, frames + 1);
+  EXPECT_EQ(stats.responses, stats.requests);
+  EXPECT_EQ(stats.bad_frames, 0u);
+  EXPECT_EQ(stats.bytes_in, first_bytes + wire.size());
+}
+
 // ---------------------------------------------------------------------
 // Client / RemoteStore end to end.
 
@@ -602,7 +729,6 @@ TEST_F(ServerTest, RemoteStoreEndToEnd) {
 TEST_F(ServerTest, ManyConnectionsConcurrentTraffic) {
   ServerOptions server_options;
   server_options.event_threads = 2;
-  server_options.worker_threads = 4;
   StartServer(server_options);
 
   ClientOptions options;
@@ -687,6 +813,257 @@ TEST_F(ServerTest, ServerDeathFailsPendingCallsCleanly) {
   Status s = store->Read("t", Slice("x"), &got);
   EXPECT_FALSE(s.ok());
   EXPECT_FALSE(s.IsNotFound());
+}
+
+// ---------------------------------------------------------------------
+// Client leader/follower: the waiting caller reads its own socket.
+
+/// Waits up to `timeout` for `finished` to reach `count`. On timeout it
+/// records a failure and closes `client`, which fails every blocked call,
+/// so the test can still join its threads.
+void AwaitOrClose(const std::atomic<int>& finished, int count,
+                  Client* client,
+                  std::chrono::seconds timeout = std::chrono::seconds(60)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (finished.load() < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (finished.load() < count) {
+    ADD_FAILURE() << "callers hung: " << finished.load() << " of " << count
+                  << " finished";
+    client->Close();
+  }
+}
+
+TEST_F(ServerTest, ManyCallersShareOneSocket) {
+  StartServer();
+  ClientOptions options;
+  options.port = server_->port();
+  options.connections = 1;
+  Client client(options);
+  ASSERT_TRUE(client.Connect().ok());
+
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 250;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; i++) {
+        Request insert;
+        insert.op = Opcode::kInsert;
+        insert.table = "t";
+        insert.key = "lf" + std::to_string(t) + "-" + std::to_string(i);
+        insert.record = {{"f", insert.key}};
+        Response response;
+        if (!client.Call(insert, &response).ok()) mismatches++;
+        Request read;
+        read.op = Opcode::kRead;
+        read.table = "t";
+        read.key = insert.key;
+        if (!client.Call(read, &response).ok() ||
+            response.record != insert.record) {
+          mismatches++;
+        }
+      }
+      finished++;
+    });
+  }
+  AwaitOrClose(finished, kThreads, &client);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(db_.size(), static_cast<size_t>(kThreads * kCalls));
+}
+
+TEST_F(ServerTest, BurstHandlesWaitedInReverseFromManyThreads) {
+  StartServer();
+  constexpr int kBurst = 200;
+  for (int i = 0; i < kBurst; i++) {
+    ASSERT_TRUE(db_.Insert("t", Slice("burst" + std::to_string(i)),
+                           MakeRecord(1 + i % 7))
+                    .ok());
+  }
+  ClientOptions options;
+  options.port = server_->port();
+  options.connections = 1;
+  // The burst is deeper than the in-flight cap, so the issuing thread
+  // itself reads replies to open the window.
+  ASSERT_LT(options.max_pipeline, static_cast<size_t>(kBurst));
+  Client client(options);
+  ASSERT_TRUE(client.Connect().ok());
+
+  std::vector<std::shared_ptr<Client::Pending>> handles;
+  for (int i = 0; i < kBurst; i++) {
+    Request read;
+    read.op = Opcode::kRead;
+    read.table = "t";
+    read.key = "burst" + std::to_string(i);
+    handles.push_back(client.AsyncCall(read));
+  }
+  constexpr int kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = kBurst - 1 - t; i >= 0; i -= kThreads) {
+        if (!handles[i]->Wait().ok() ||
+            handles[i]->response().record != MakeRecord(1 + i % 7)) {
+          mismatches++;
+        }
+      }
+      finished++;
+    });
+  }
+  AwaitOrClose(finished, kThreads, &client);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+/// A loopback listener for scripted servers; returns its fd.
+int ListenLoopback(int* port) {
+  int listener = socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(listen(listener, 4), 0);
+  socklen_t len = sizeof(addr);
+  getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+  *port = ntohs(addr.sin_port);
+  return listener;
+}
+
+TEST(ClientTest, UnwaitedHandleNeverStrandsAWaitingCaller) {
+  // A scripted server forces the hand-off: it answers the leader first,
+  // and the other replies only once the leader has left.
+  int port = 0;
+  int listener = ListenLoopback(&port);
+  ClientOptions options;
+  options.port = port;
+  Client client(options);
+  ASSERT_TRUE(client.Connect().ok());
+  auto read = [](const std::string& key) {
+    Request request;
+    request.op = Opcode::kRead;
+    request.table = "t";
+    request.key = key;
+    return request;
+  };
+  auto record = [](const std::string& key) {
+    return ycsb::Record{{"key", key}};
+  };
+
+  std::atomic<bool> leader_returned{false};
+  std::thread script([&] {
+    int fd = accept(listener, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    std::map<std::string, uint64_t> ids;
+    FrameDecoder decoder;
+    char buf[4096];
+    while (ids.size() < 3) {
+      ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      decoder.Feed(buf, static_cast<size_t>(n));
+      Frame frame;
+      Request request;
+      while (decoder.Next(&frame) == FrameDecoder::Result::kFrame &&
+             DecodeRequest(frame, &request)) {
+        ids[request.key] = frame.request_id;
+      }
+    }
+    auto reply = [&](const std::string& key) {
+      Response response;
+      response.record = record(key);
+      std::string wire;
+      EncodeResponse(Opcode::kRead, ids[key], response, &wire);
+      send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    };
+    // Let the follower block in Wait() behind the leader first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    reply("leader");
+    for (int i = 0; i < 1000 && !leader_returned.load(); i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    reply("unwaited");
+    reply("follower");
+    // Hold the connection open until the client closes it.
+    while (recv(fd, buf, sizeof(buf), 0) > 0) {
+    }
+    close(fd);
+  });
+
+  // A handle nobody waits on, then a leader and a blocked follower.
+  std::shared_ptr<Client::Pending> unwaited =
+      client.AsyncCall(read("unwaited"));
+  std::atomic<int> finished{0};
+  Response leader_response, follower_response;
+  Status leader_status, follower_status;
+  std::thread leader([&] {
+    leader_status = client.Call(read("leader"), &leader_response);
+    leader_returned = true;
+    finished++;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread follower([&] {
+    follower_status = client.Call(read("follower"), &follower_response);
+    finished++;
+  });
+  unwaited.reset();  // dropped without a Wait
+  AwaitOrClose(finished, 2, &client, std::chrono::seconds(10));
+  leader.join();
+  follower.join();
+  EXPECT_TRUE(leader_status.ok()) << leader_status.ToString();
+  EXPECT_EQ(leader_response.record, record("leader"));
+  EXPECT_TRUE(follower_status.ok()) << follower_status.ToString();
+  EXPECT_EQ(follower_response.record, record("follower"));
+  client.Close();
+  script.join();
+  close(listener);
+}
+
+TEST(ClientTest, CloseFailsACallLeadingABlockedRecv) {
+  // A listener that never accepts, so no reply ever comes.
+  int port = 0;
+  int listener = ListenLoopback(&port);
+  ClientOptions options;
+  options.port = port;
+  Client client(options);
+  ASSERT_TRUE(client.Connect().ok());
+  Request ping;
+  ping.op = Opcode::kPing;
+  std::shared_ptr<Client::Pending> handle = client.AsyncCall(ping);
+  std::atomic<bool> returned{false};
+  Status result;
+  std::thread caller([&] {
+    result = handle->Wait();  // leads the socket: blocks in recv
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+
+  // If Close hangs, closing the listener resets the connection and
+  // unblocks the leader, so the failure is reported instead of a hang.
+  std::atomic<bool> closed{false};
+  std::thread watchdog([&] {
+    for (int i = 0; i < 1000 && !closed.load(); i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!closed.load()) {
+      ADD_FAILURE() << "Close hung behind a leader in recv";
+      shutdown(listener, SHUT_RDWR);
+    }
+  });
+  client.Close();
+  closed = true;
+  caller.join();
+  watchdog.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_TRUE(result.IsIOError()) << result.ToString();
+  close(listener);
 }
 
 }  // namespace

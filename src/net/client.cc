@@ -17,6 +17,11 @@ namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
 
+std::atomic<uint64_t> next_client_id{1};
+/// The client the calling thread last called, and its socket index there.
+thread_local uint64_t thread_client = 0;
+thread_local uint64_t thread_socket = 0;
+
 }  // namespace
 
 /// One socket plus its bookkeeping. Writes are serialized under
@@ -55,7 +60,9 @@ Status Client::Pending::Wait() {
   return Await(this);
 }
 
-Client::Client(const ClientOptions& options) : options_(options) {}
+Client::Client(const ClientOptions& options)
+    : options_(options),
+      id_(next_client_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 Client::~Client() { Close(); }
 
@@ -120,9 +127,14 @@ std::shared_ptr<Client::Pending> Client::AsyncCall(const Request& request) {
     handle->transport = Status::InvalidArgument("client not connected");
     return handle;
   }
-  std::shared_ptr<Conn> conn =
-      conns_[next_conn_.fetch_add(1, std::memory_order_relaxed) %
-             conns_.size()];
+  // A thread keeps to one socket, so each socket's callers are a fixed,
+  // balanced set and a socket whose leader is descheduled holds up only
+  // its own callers.
+  if (thread_client != id_) {
+    thread_client = id_;
+    thread_socket = next_conn_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::shared_ptr<Conn> conn = conns_[thread_socket % conns_.size()];
   const uint64_t id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   {
     std::unique_lock<std::mutex> lock(conn->mu);

@@ -17,8 +17,9 @@ namespace apmbench::net {
 struct ClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Sockets to open; requests are spread round-robin. Many workload
-  /// threads can multiplex pipelined requests over few sockets.
+  /// Sockets to open. Each calling thread keeps to one socket, assigned
+  /// round-robin on its first call, so many workload threads can
+  /// multiplex pipelined requests over few sockets.
   int connections = 1;
   /// Cap on in-flight requests per socket; `AsyncCall` blocks past it.
   size_t max_pipeline = 128;
@@ -69,8 +70,8 @@ class Client {
   /// reading them. Idempotent.
   void Close();
 
-  /// Sends `request` on one of the sockets; the returned handle resolves
-  /// when the reply arrives. Blocks only when the chosen socket already
+  /// Sends `request` on the calling thread's socket; the returned handle
+  /// resolves when the reply arrives. Blocks only when that socket already
   /// has max_pipeline requests in flight, and then reads replies itself
   /// if no caller is. Replies are otherwise read only by callers in
   /// Wait(), so a thread that never waits gets its replies read by
@@ -96,6 +97,8 @@ class Client {
   static void FailAll(Conn* conn, const Status& status);
 
   const ClientOptions options_;
+  /// Tells this client's thread-to-socket assignments from another's.
+  const uint64_t id_;
   std::vector<std::shared_ptr<Conn>> conns_;
   std::atomic<uint64_t> next_conn_{0};
   std::atomic<uint64_t> next_request_id_{1};

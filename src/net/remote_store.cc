@@ -6,6 +6,18 @@
 
 namespace apmbench::net {
 
+namespace {
+
+Request MakeRequest(Opcode op, const std::string& table, const Slice& key) {
+  Request request;
+  request.op = op;
+  request.table = table;
+  request.key = key.ToString();
+  return request;
+}
+
+}  // namespace
+
 Status RemoteStore::Open(const ClientOptions& options,
                          std::unique_ptr<RemoteStore>* store) {
   std::unique_ptr<RemoteStore> s(new RemoteStore(options));
@@ -20,12 +32,8 @@ Status RemoteStore::Open(const ClientOptions& options,
 
 Status RemoteStore::Read(const std::string& table, const Slice& key,
                          ycsb::Record* record) {
-  Request request;
-  request.op = Opcode::kRead;
-  request.table = table;
-  request.key = key.ToString();
   Response response;
-  Status s = client_.Call(request, &response);
+  Status s = client_.Call(MakeRequest(Opcode::kRead, table, key), &response);
   if (s.ok()) *record = std::move(response.record);
   return s;
 }
@@ -33,10 +41,7 @@ Status RemoteStore::Read(const std::string& table, const Slice& key,
 Status RemoteStore::ScanKeyed(const std::string& table,
                               const Slice& start_key, int count,
                               std::vector<ycsb::KeyedRecord>* records) {
-  Request request;
-  request.op = Opcode::kScan;
-  request.table = table;
-  request.key = start_key.ToString();
+  Request request = MakeRequest(Opcode::kScan, table, start_key);
   request.count = count;
   Response response;
   Status s = client_.Call(request, &response);
@@ -46,10 +51,7 @@ Status RemoteStore::ScanKeyed(const std::string& table,
 
 Status RemoteStore::Insert(const std::string& table, const Slice& key,
                            const ycsb::Record& record) {
-  Request request;
-  request.op = Opcode::kInsert;
-  request.table = table;
-  request.key = key.ToString();
+  Request request = MakeRequest(Opcode::kInsert, table, key);
   request.record = record;
   Response response;
   return client_.Call(request, &response);
@@ -57,22 +59,15 @@ Status RemoteStore::Insert(const std::string& table, const Slice& key,
 
 Status RemoteStore::Update(const std::string& table, const Slice& key,
                            const ycsb::Record& record) {
-  Request request;
-  request.op = Opcode::kUpdate;
-  request.table = table;
-  request.key = key.ToString();
+  Request request = MakeRequest(Opcode::kUpdate, table, key);
   request.record = record;
   Response response;
   return client_.Call(request, &response);
 }
 
 Status RemoteStore::Delete(const std::string& table, const Slice& key) {
-  Request request;
-  request.op = Opcode::kDelete;
-  request.table = table;
-  request.key = key.ToString();
   Response response;
-  return client_.Call(request, &response);
+  return client_.Call(MakeRequest(Opcode::kDelete, table, key), &response);
 }
 
 Status RemoteStore::DiskUsage(uint64_t* bytes) {

@@ -187,7 +187,7 @@ void Server::EventLoopMain(EventLoop* loop) {
       const epoll_event& ev = events[i];
       if (ev.data.fd == loop->wake_fd) continue;  // Stop(): loop re-checks
       if (ev.data.fd == listen_fd_) {
-        AcceptAll(loop);
+        AcceptAll();
         continue;
       }
       std::shared_ptr<Connection> conn;
@@ -216,8 +216,7 @@ void Server::EventLoopMain(EventLoop* loop) {
   }
 }
 
-void Server::AcceptAll(EventLoop* accept_loop) {
-  (void)accept_loop;
+void Server::AcceptAll() {
   for (;;) {
     int fd = accept4(listen_fd_, nullptr, nullptr,
                      SOCK_NONBLOCK | SOCK_CLOEXEC);

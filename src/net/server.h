@@ -23,8 +23,9 @@ struct ServerOptions {
   /// Event-loop threads. Each owns an epoll set; connections are assigned
   /// round-robin at accept and stay on their loop for life. A loop runs
   /// its connections' requests inline, so this is also the number of
-  /// requests the server executes at once.
-  int event_threads = 1;
+  /// requests the server executes at once. Two let a two-socket client
+  /// run as two halves that a descheduled loop cannot both stall.
+  int event_threads = 2;
 };
 
 /// An epoll-based (edge-triggered) binary-protocol server hosting one
@@ -71,7 +72,7 @@ class Server {
 
   void EventLoopMain(EventLoop* loop);
 
-  void AcceptAll(EventLoop* loop);
+  void AcceptAll();
   void DrainRead(EventLoop* loop, const std::shared_ptr<Connection>& conn);
   /// Sends as much of conn's output as the socket takes; returns false
   /// if that tore the connection down.

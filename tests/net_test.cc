@@ -2,8 +2,8 @@
 // round-trips, torn/garbage/oversized-frame handling in the incremental
 // decoder, socket-level pipelining, backpressure, abrupt-disconnect and
 // concurrent-Stop robustness (no fd leaks, no cross-connection
-// corruption), the client's leader/follower reads, and the RemoteStore
-// end to end.
+// corruption), the client's leader/follower reads and per-thread
+// sockets, and the RemoteStore end to end.
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -1022,6 +1022,69 @@ TEST(ClientTest, UnwaitedHandleNeverStrandsAWaitingCaller) {
   EXPECT_EQ(follower_response.record, record("follower"));
   client.Close();
   script.join();
+  close(listener);
+}
+
+TEST(ClientTest, EachThreadKeepsToOneSocket) {
+  // A listener that never answers: the test reads the raw frames to see
+  // which socket each call went out on.
+  int port = 0;
+  int listener = ListenLoopback(&port);
+  ClientOptions options;
+  options.port = port;
+  options.connections = 2;
+  Client client(options);
+  ASSERT_TRUE(client.Connect().ok());
+  int fds[2] = {accept(listener, nullptr, nullptr),
+                accept(listener, nullptr, nullptr)};
+  ASSERT_GE(fds[0], 0);
+  ASSERT_GE(fds[1], 0);
+
+  auto calls = [&](const std::string& prefix) {
+    for (int i = 0; i < 3; i++) {
+      Request request;
+      request.op = Opcode::kRead;
+      request.table = "t";
+      request.key = prefix + std::to_string(i);
+      client.AsyncCall(request);  // never answered, never waited
+    }
+  };
+  calls("a");
+  std::thread other(calls, "b");
+  other.join();
+
+  // Every send has returned, so all six frames are in the two sockets.
+  std::vector<std::string> keys[2];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  FrameDecoder decoders[2];
+  while (keys[0].size() + keys[1].size() < 6 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int s = 0; s < 2; s++) {
+      char buf[4096];
+      ssize_t n = recv(fds[s], buf, sizeof(buf), MSG_DONTWAIT);
+      if (n <= 0) continue;
+      decoders[s].Feed(buf, static_cast<size_t>(n));
+      Frame frame;
+      Request request;
+      while (decoders[s].Next(&frame) == FrameDecoder::Result::kFrame &&
+             DecodeRequest(frame, &request)) {
+        keys[s].push_back(request.key);
+      }
+    }
+  }
+  ASSERT_EQ(keys[0].size(), 3u);
+  ASSERT_EQ(keys[1].size(), 3u);
+  for (int s = 0; s < 2; s++) {
+    for (const std::string& key : keys[s]) {
+      EXPECT_EQ(key[0], keys[s][0][0]) << "socket " << s << " mixes threads";
+    }
+  }
+  EXPECT_NE(keys[0][0][0], keys[1][0][0]);
+
+  client.Close();
+  close(fds[0]);
+  close(fds[1]);
   close(listener);
 }
 

@@ -46,19 +46,6 @@ std::string BloomFilterBuilder::Finish() {
   return result;
 }
 
-PrefixBloomBuilder::PrefixBloomBuilder(int bits_per_key, size_t prefix_length)
-    : builder_(bits_per_key), prefix_length_(prefix_length) {}
-
-void PrefixBloomBuilder::AddKey(const Slice& key) {
-  Slice prefix(key.data(), key.size() < prefix_length_ ? key.size()
-                                                       : prefix_length_);
-  if (has_last_ && Slice(last_prefix_).Compare(prefix) == 0) return;
-  builder_.AddKey(prefix);
-  last_prefix_.assign(prefix.data(), prefix.size());
-  has_last_ = true;
-  num_prefixes_++;
-}
-
 bool BloomFilterMayMatch(const Slice& filter, const Slice& key) {
   if (filter.size() < 2) return true;
   size_t bytes = filter.size() - 1;

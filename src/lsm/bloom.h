@@ -30,33 +30,6 @@ class BloomFilterBuilder {
 /// false negative). An empty filter matches everything.
 bool BloomFilterMayMatch(const Slice& filter, const Slice& key);
 
-/// Builds a bloom filter over the distinct `prefix_length`-byte prefixes
-/// of a sorted key stream (keys shorter than the prefix length contribute
-/// their full bytes). Because keys arrive sorted, equal prefixes are
-/// consecutive and a last-prefix comparison suffices to dedup, so the
-/// filter is sized by distinct prefixes rather than keys. Probe the
-/// result with BloomFilterMayMatch(filter, clipped_prefix) — the same
-/// wire format as the full-key filter.
-class PrefixBloomBuilder {
- public:
-  PrefixBloomBuilder(int bits_per_key, size_t prefix_length);
-
-  /// Adds the prefix of `key` unless it equals the previous key's prefix.
-  void AddKey(const Slice& key);
-
-  std::string Finish() { return builder_.Finish(); }
-
-  /// Distinct prefixes added so far.
-  size_t NumPrefixes() const { return num_prefixes_; }
-
- private:
-  BloomFilterBuilder builder_;
-  const size_t prefix_length_;
-  std::string last_prefix_;
-  size_t num_prefixes_ = 0;
-  bool has_last_ = false;
-};
-
 }  // namespace apmbench::lsm
 
 #endif  // APMBENCH_LSM_BLOOM_H_

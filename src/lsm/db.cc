@@ -66,14 +66,6 @@ DB::DB(const Options& options) : options_(options) {
   cache_ = std::make_unique<BlockCache>(options_.block_cache_bytes);
   versions_ = std::make_unique<VersionSet>(options_, env_);
   mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
-  if (options_.rate_limit_bytes_per_sec > 0) {
-    rate_limiter_ =
-        std::make_unique<RateLimiter>(options_.rate_limit_bytes_per_sec);
-  }
-  if (options_.subcompactions > 1) {
-    subcompaction_pool_ =
-        std::make_unique<FanoutExecutor>(options_.subcompactions - 1);
-  }
 }
 
 Status DB::Open(const Options& options, std::unique_ptr<DB>* db) {
@@ -277,7 +269,7 @@ Status DB::ReplayWals() {
     std::vector<FileMeta> outputs;
     std::vector<uint64_t> numbers;
     APM_RETURN_IF_ERROR(WriteTables(iter.get(), /*single_output=*/true,
-                                    /*output_level=*/0, &outputs, &numbers));
+                                    &outputs, &numbers));
     VersionEdit edit;
     for (const auto& meta : outputs) {
       edit.added.push_back({0, meta});
@@ -631,41 +623,16 @@ Status DB::Scan(const ReadOptions& read_options, const Slice& start,
   std::shared_ptr<const ReadView> view = CurrentView();
   const uint64_t seq_limit = applied_seq_.load(std::memory_order_acquire);
 
-  // With prefix_same_as_start the caller promises to consume only keys
-  // sharing the scan prefix, so the scan is bounded: tables whose prefix
-  // bloom rules the prefix out are skipped entirely (the way point gets
-  // skip on the full-key bloom), and the result is truncated when a key
-  // leaves the prefix range. A table built with a *shorter* prefix than
-  // the scan's may still be probed — every returned key shares the scan
-  // prefix and therefore the table's shorter one, so a negative remains
-  // authoritative; a table with a longer prefix is never skipped.
-  Slice prefix;
-  if (read_options.prefix_same_as_start && options_.prefix_bloom_length > 0) {
-    prefix = Slice(start.data(),
-                   std::min(start.size(), options_.prefix_bloom_length));
-  }
-
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(view->mem->NewIterator(seq_limit));
   if (view->imm != nullptr) children.push_back(view->imm->NewIterator());
   for (const auto& table : view->tables) {
-    const size_t table_prefix_len = table->prefix_bloom_length();
-    if (table_prefix_len > 0 && table_prefix_len <= prefix.size() &&
-        !table->MayMatchPrefix(Slice(prefix.data(), table_prefix_len))) {
-      prefix_bloom_skips_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     children.push_back(table->NewIterator(read_options));
   }
   auto iter = NewDedupIterator(NewMergingIterator(std::move(children)),
                                /*skip_tombstones=*/true);
   iter->Seek(start);
   while (iter->Valid() && static_cast<int>(out->size()) < count) {
-    if (!prefix.empty() &&
-        (iter->key().size() < prefix.size() ||
-         Slice(iter->key().data(), prefix.size()).Compare(prefix) != 0)) {
-      break;  // sorted keys: once outside the prefix range, always outside
-    }
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     iter->Next();
   }
@@ -780,21 +747,15 @@ std::unique_ptr<Iterator> DB::NewSnapshotIterator(
                                             std::move(tables));
 }
 
-Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
+Status DB::WriteTables(Iterator* iter, bool single_output,
                        std::vector<FileMeta>* outputs,
                        std::vector<uint64_t>* numbers) {
   std::unique_ptr<TableBuilder> builder;
   uint64_t current_number = 0;
-  // Rate-limiter charging: pay for bytes in ~64 KiB installments as the
-  // builder grows, so background I/O is smoothed rather than charged in
-  // one table-sized burst at Finish.
-  constexpr uint64_t kChargeChunk = 64 * 1024;
-  uint64_t charged = 0;
   auto open_builder = [&]() -> Status {
     current_number = versions_->NewFileNumber();
     builder = std::make_unique<TableBuilder>(options_, env_,
                                              TablePath(current_number));
-    charged = 0;
     return builder->Open();
   };
   auto finish_builder = [&]() -> Status {
@@ -811,15 +772,10 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
     meta.format_version = kTableFormatV2;
     meta.smallest = builder->smallest_key();
     meta.largest = builder->largest_key();
-    if (rate_limiter_ != nullptr && meta.file_size > charged) {
-      rate_limiter_->Request(meta.file_size - charged);
-    }
     outputs->push_back(std::move(meta));
     numbers->push_back(current_number);
     compaction_bytes_written_.fetch_add(builder->FileSize(),
                                         std::memory_order_relaxed);
-    compaction_written_per_level_[output_level].fetch_add(
-        builder->FileSize(), std::memory_order_relaxed);
     builder.reset();
     return Status::OK();
   };
@@ -831,13 +787,6 @@ Status DB::WriteTables(Iterator* iter, bool single_output, int output_level,
     }
     APM_RETURN_IF_ERROR(builder->Add(iter->key(), iter->value(), iter->seq(),
                                      iter->IsTombstone()));
-    if (rate_limiter_ != nullptr) {
-      const uint64_t estimate = builder->CurrentSizeEstimate();
-      if (estimate >= charged + kChargeChunk) {
-        rate_limiter_->Request(estimate - charged);
-        charged = estimate;
-      }
-    }
     if (!single_output && builder->CurrentSizeEstimate() >= max_output) {
       APM_RETURN_IF_ERROR(finish_builder());
     }
@@ -897,8 +846,8 @@ void DB::BackgroundFlush() {
   std::vector<uint64_t> numbers;
   // File numbers come from an atomic counter, so the flush I/O can run
   // without blocking foreground operations.
-  Status s = WriteTables(iter.get(), /*single_output=*/true,
-                         /*output_level=*/0, &outputs, &numbers);
+  Status s = WriteTables(iter.get(), /*single_output=*/true, &outputs,
+                         &numbers);
   std::lock_guard<std::mutex> lock(mu_);
   if (!s.ok()) {
     bg_error_ = s;
@@ -946,11 +895,9 @@ bool DB::PickCompaction(CompactionJob* job) {
     // new auto picks meanwhile so the claim set empties.
     if (versions_->NumClaimed() > 0) return false;
     job->inputs.clear();
-    job->input_levels.clear();
     for (int level = 0; level < versions_->NumLevels(); level++) {
       for (const auto& f : versions_->files(level)) {
         job->inputs.push_back(f);
-        job->input_levels.push_back(level);
       }
     }
     if (job->inputs.empty()) {
@@ -1026,7 +973,6 @@ bool DB::PickCompaction(CompactionJob* job) {
       stall_escape_compactions_++;
     }
     job->inputs = std::move(bucket);
-    job->input_levels.assign(job->inputs.size(), 0);
     job->output_level = 0;
     job->drop_tombstones = job->inputs.size() == versions_->TotalFiles();
     job->single_output = true;
@@ -1052,7 +998,6 @@ bool DB::PickCompaction(CompactionJob* job) {
         largest = f.largest;
       }
     }
-    job->input_levels.assign(job->inputs.size(), 0);
     bool overlap_claimed = false;
     for (const auto& f : versions_->files(1)) {
       if (Slice(f.largest).Compare(smallest) >= 0 &&
@@ -1062,7 +1007,6 @@ bool DB::PickCompaction(CompactionJob* job) {
           break;
         }
         job->inputs.push_back(f);
-        job->input_levels.push_back(1);
       }
     }
     if (!overlap_claimed) {
@@ -1073,7 +1017,6 @@ bool DB::PickCompaction(CompactionJob* job) {
       return true;
     }
     job->inputs.clear();
-    job->input_levels.clear();
   }
   for (int level = 1; level < versions_->NumLevels() - 1; level++) {
     if (versions_->LevelBytes(level) <= MaxBytesForLevel(level)) continue;
@@ -1100,9 +1043,7 @@ bool DB::PickCompaction(CompactionJob* job) {
     }
     if (pick == nullptr) continue;  // whole level in flight
     job->inputs.clear();
-    job->input_levels.clear();
     job->inputs.push_back(*pick);
-    job->input_levels.push_back(level);
     bool overlap_claimed = false;
     for (const auto& f : versions_->files(level + 1)) {
       if (Slice(f.largest).Compare(pick->smallest) >= 0 &&
@@ -1112,7 +1053,6 @@ bool DB::PickCompaction(CompactionJob* job) {
           break;
         }
         job->inputs.push_back(f);
-        job->input_levels.push_back(level + 1);
       }
     }
     if (overlap_claimed) continue;
@@ -1126,44 +1066,23 @@ bool DB::PickCompaction(CompactionJob* job) {
   return false;
 }
 
-namespace {
-
-/// Restricts an iterator to keys strictly below `end` (empty = no bound);
-/// used to hand each subcompaction its own slice of the merged key space.
-class ClampIterator final : public Iterator {
- public:
-  ClampIterator(std::unique_ptr<Iterator> base, std::string end)
-      : base_(std::move(base)), end_(std::move(end)) {}
-
-  bool Valid() const override {
-    return base_->Valid() &&
-           (end_.empty() || base_->key().Compare(Slice(end_)) < 0);
+void DB::RunCompaction(const CompactionJob& job) {
+  // Snapshot the input tables (immutable; no mutex needed to read them,
+  // but fetching the shared_ptrs requires it).
+  std::vector<std::shared_ptr<Table>> inputs;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& meta : job.inputs) {
+      auto it = tables_.find(meta.number);
+      if (it == tables_.end()) {
+        bg_error_ = Status::Corruption("compaction input table missing");
+        return;
+      }
+      inputs.push_back(it->second);
+    }
   }
-  void SeekToFirst() override { base_->SeekToFirst(); }
-  void Seek(const Slice& target) override { base_->Seek(target); }
-  void Next() override { base_->Next(); }
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  bool IsTombstone() const override { return base_->IsTombstone(); }
-  uint64_t seq() const override { return base_->seq(); }
-  Status status() const override { return base_->status(); }
 
- private:
-  std::unique_ptr<Iterator> base_;
-  std::string end_;
-};
-
-}  // namespace
-
-Status DB::RunSubcompaction(const std::vector<std::shared_ptr<Table>>& inputs,
-                            const CompactionJob& job, const std::string& start,
-                            const std::string& end,
-                            std::vector<FileMeta>* outputs,
-                            std::vector<uint64_t>* numbers) {
-  // Every subtask merges over *all* input tables (so dedup sees every
-  // version of a key) but only consumes its [start, end) slice; the
-  // slices partition the key space, so the concatenated outputs hold
-  // each surviving key exactly once.
+  // One merge over every input, so dedup sees every version of a key.
   ReadOptions read_options;
   read_options.fill_cache = false;
   std::vector<std::unique_ptr<Iterator>> children;
@@ -1173,100 +1092,28 @@ Status DB::RunSubcompaction(const std::vector<std::shared_ptr<Table>>& inputs,
   }
   auto merged = NewDedupIterator(NewMergingIterator(std::move(children)),
                                  /*skip_tombstones=*/job.drop_tombstones);
-  auto clamped = std::make_unique<ClampIterator>(std::move(merged), end);
-  if (start.empty()) {
-    clamped->SeekToFirst();
-  } else {
-    clamped->Seek(Slice(start));
-  }
-  return WriteTables(clamped.get(), job.single_output, job.output_level,
-                     outputs, numbers);
-}
-
-void DB::RunCompaction(const CompactionJob& job) {
-  // Snapshot the input tables (immutable; no mutex needed to read them,
-  // but fetching the shared_ptrs requires it).
-  std::vector<std::shared_ptr<Table>> inputs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < job.inputs.size(); i++) {
-      const auto& meta = job.inputs[i];
-      auto it = tables_.find(meta.number);
-      if (it == tables_.end()) {
-        bg_error_ = Status::Corruption("compaction input table missing");
-        return;
-      }
-      inputs.push_back(it->second);
-      compaction_bytes_read_ += meta.file_size;
-      compaction_read_per_level_[job.input_levels[i]] += meta.file_size;
-    }
-  }
-
-  // Partition the job into subcompactions along the inputs' smallest
-  // keys. Only multi-output (leveled) jobs are eligible: a size-tiered
-  // bucket or manual compaction must emit exactly one table.
-  std::vector<std::string> bounds;  // interior range boundaries
-  if (!job.single_output && options_.subcompactions > 1 &&
-      job.inputs.size() > 1) {
-    std::vector<std::string> keys;
-    for (const auto& meta : job.inputs) keys.push_back(meta.smallest);
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    // The first key starts the unbounded leading range; the remaining
-    // candidates split the space into at most `subcompactions` pieces.
-    if (keys.size() > 1) {
-      const size_t max_pieces = std::min<size_t>(
-          static_cast<size_t>(options_.subcompactions), keys.size());
-      const size_t step = (keys.size() + max_pieces - 1) / max_pieces;
-      for (size_t i = step; i < keys.size(); i += step) {
-        bounds.push_back(keys[i]);
-      }
-    }
-  }
-  const size_t pieces = bounds.size() + 1;
-
-  std::vector<std::vector<FileMeta>> piece_outputs(pieces);
-  std::vector<std::vector<uint64_t>> piece_numbers(pieces);
-  Status s;
-  if (pieces == 1) {
-    s = RunSubcompaction(inputs, job, std::string(), std::string(),
-                         &piece_outputs[0], &piece_numbers[0]);
-  } else {
-    std::vector<FanoutExecutor::Task> tasks;
-    tasks.reserve(pieces);
-    for (size_t i = 0; i < pieces; i++) {
-      const std::string start = i == 0 ? std::string() : bounds[i - 1];
-      const std::string end = i == pieces - 1 ? std::string() : bounds[i];
-      tasks.push_back([this, &inputs, &job, start, end, &piece_outputs,
-                       &piece_numbers, i]() {
-        return RunSubcompaction(inputs, job, start, end, &piece_outputs[i],
-                                &piece_numbers[i]);
-      });
-    }
-    s = subcompaction_pool_->RunAll(std::move(tasks));
-  }
+  merged->SeekToFirst();
+  std::vector<FileMeta> outputs;
+  std::vector<uint64_t> numbers;
+  Status s = WriteTables(merged.get(), job.single_output, &outputs, &numbers);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (!s.ok()) {
-    // Drop whatever outputs finished before the failure; partially built
-    // tables were already abandoned by their builders, and anything left
+    // Drop whatever outputs finished before the failure; a partially
+    // built table was already abandoned by its builder, and anything left
     // behind is swept as an orphan at the next Open.
-    for (const auto& numbers : piece_numbers) {
-      for (uint64_t number : numbers) env_->RemoveFile(TablePath(number));
-    }
+    for (uint64_t number : numbers) env_->RemoveFile(TablePath(number));
     bg_error_ = s;
     return;
   }
   VersionEdit edit;
   for (const auto& meta : job.inputs) edit.removed.push_back(meta.number);
-  for (const auto& outputs : piece_outputs) {
-    for (const auto& meta : outputs) {
-      edit.added.push_back({job.output_level, meta});
-      Status open_status = OpenTable(meta);
-      if (!open_status.ok()) {
-        bg_error_ = open_status;
-        return;
-      }
+  for (const auto& meta : outputs) {
+    edit.added.push_back({job.output_level, meta});
+    Status open_status = OpenTable(meta);
+    if (!open_status.ok()) {
+      bg_error_ = open_status;
+      return;
     }
   }
   s = versions_->LogAndApply(edit);
@@ -1287,8 +1134,6 @@ void DB::RunCompaction(const CompactionJob& job) {
     cache_->EvictFile(meta.number);
   }
   num_compactions_++;
-  compactions_per_level_[job.output_level]++;
-  if (pieces > 1) num_subcompactions_ += pieces;
   // Readers holding the old view keep the dropped tables alive through
   // their shared_ptrs; new readers pick up the compacted set here.
   RefreshViewLocked();
@@ -1438,7 +1283,6 @@ DB::Stats DB::GetStats() {
   Stats stats;
   stats.num_flushes = num_flushes_;
   stats.num_compactions = num_compactions_;
-  stats.compaction_bytes_read = compaction_bytes_read_;
   stats.compaction_bytes_written =
       compaction_bytes_written_.load(std::memory_order_relaxed);
   stats.stall_slowdown_micros = stall_slowdown_micros_;
@@ -1448,21 +1292,11 @@ DB::Stats DB::GetStats() {
   stats.stall_escape_compactions = stall_escape_compactions_;
   stats.running_compactions = static_cast<uint64_t>(running_compactions_);
   stats.claimed_files = versions_->NumClaimed();
-  stats.num_subcompactions = num_subcompactions_;
   stats.zombie_tables = zombies_.size();
-  if (rate_limiter_ != nullptr) {
-    stats.rate_limited_bytes = rate_limiter_->total_bytes();
-    stats.rate_limit_wait_micros = rate_limiter_->total_wait_micros();
-  }
   stats.cache_hits = cache_->hits();
   stats.cache_misses = cache_->misses();
-  stats.cache_charge = cache_->charge();
   stats.cache_evictions = cache_->evictions();
-  stats.cache_inserted_payload_bytes = cache_->inserted_payload_bytes();
-  stats.cache_inserted_charged_bytes = cache_->inserted_charged_bytes();
   stats.memtable_bytes = mem_->ApproximateMemoryUsage();
-  stats.prefix_bloom_skips =
-      prefix_bloom_skips_.load(std::memory_order_relaxed);
   for (const auto& [number, table] : tables_) {
     (void)number;
     stats.index_bytes += table->index_block_bytes();
@@ -1474,125 +1308,8 @@ DB::Stats DB::GetStats() {
   stats.pending_writers = writers_.size();
   for (int level = 0; level < versions_->NumLevels(); level++) {
     stats.files_per_level.push_back(versions_->NumFiles(level));
-    stats.bytes_per_level.push_back(versions_->LevelBytes(level));
-    uint64_t hits = 0, misses = 0;
-    for (const auto& meta : versions_->files(level)) {
-      auto it = tables_.find(meta.number);
-      if (it == tables_.end()) continue;
-      hits += it->second->cache_hits();
-      misses += it->second->cache_misses();
-    }
-    stats.cache_hits_per_level.push_back(hits);
-    stats.cache_misses_per_level.push_back(misses);
-    stats.compactions_per_level.push_back(compactions_per_level_[level]);
-    stats.compaction_read_per_level.push_back(
-        compaction_read_per_level_[level]);
-    stats.compaction_written_per_level.push_back(
-        compaction_written_per_level_[level].load(std::memory_order_relaxed));
   }
   return stats;
-}
-
-bool DB::GetProperty(const Slice& property, std::string* value) {
-  value->clear();
-  if (property == Slice("lsm.cache-charge")) {
-    *value = std::to_string(cache_->charge());
-    return true;
-  }
-  if (property == Slice("lsm.cache-stats")) {
-    Stats stats = GetStats();
-    char line[160];
-    snprintf(line, sizeof(line),
-             "block cache: %d shards, charge %llu / capacity %llu, "
-             "hits %llu, misses %llu, evictions %llu\n",
-             cache_->num_shards(),
-             static_cast<unsigned long long>(stats.cache_charge),
-             static_cast<unsigned long long>(cache_->capacity()),
-             static_cast<unsigned long long>(stats.cache_hits),
-             static_cast<unsigned long long>(stats.cache_misses),
-             static_cast<unsigned long long>(stats.cache_evictions));
-    value->append(line);
-    const uint64_t charged = stats.cache_inserted_charged_bytes;
-    snprintf(line, sizeof(line),
-             "charge accuracy: payload %llu / charged %llu inserted bytes "
-             "(ratio %.3f)\n",
-             static_cast<unsigned long long>(
-                 stats.cache_inserted_payload_bytes),
-             static_cast<unsigned long long>(charged),
-             charged > 0 ? static_cast<double>(
-                               stats.cache_inserted_payload_bytes) /
-                               static_cast<double>(charged)
-                         : 1.0);
-    value->append(line);
-    for (size_t level = 0; level < stats.cache_hits_per_level.size();
-         level++) {
-      const uint64_t hits = stats.cache_hits_per_level[level];
-      const uint64_t misses = stats.cache_misses_per_level[level];
-      if (stats.files_per_level[level] == 0 && hits == 0 && misses == 0) {
-        continue;
-      }
-      const uint64_t total = hits + misses;
-      snprintf(line, sizeof(line),
-               "L%zu: %d files, hits %llu, misses %llu, hit_rate %.3f\n",
-               level, stats.files_per_level[level],
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses),
-               total > 0 ? static_cast<double>(hits) / total : 0.0);
-      value->append(line);
-    }
-    return true;
-  }
-  if (property == Slice("lsm.compaction-stats")) {
-    Stats stats = GetStats();
-    char line[200];
-    snprintf(line, sizeof(line),
-             "compaction: %d threads, %llu running, %llu claimed inputs, "
-             "%llu zombie tables, %llu jobs (%llu subcompactions)\n",
-             std::max(1, options_.compaction_threads),
-             static_cast<unsigned long long>(stats.running_compactions),
-             static_cast<unsigned long long>(stats.claimed_files),
-             static_cast<unsigned long long>(stats.zombie_tables),
-             static_cast<unsigned long long>(stats.num_compactions),
-             static_cast<unsigned long long>(stats.num_subcompactions));
-    value->append(line);
-    snprintf(line, sizeof(line),
-             "stalls: slowdown %llu writes / %llu us, stop %llu writes / "
-             "%llu us\n",
-             static_cast<unsigned long long>(stats.stall_slowdown_writes),
-             static_cast<unsigned long long>(stats.stall_slowdown_micros),
-             static_cast<unsigned long long>(stats.stall_stop_writes),
-             static_cast<unsigned long long>(stats.stall_stop_micros));
-    value->append(line);
-    if (rate_limiter_ != nullptr) {
-      snprintf(line, sizeof(line),
-               "rate limit: %llu bytes/s, %llu bytes through, wait %llu us\n",
-               static_cast<unsigned long long>(rate_limiter_->bytes_per_sec()),
-               static_cast<unsigned long long>(stats.rate_limited_bytes),
-               static_cast<unsigned long long>(stats.rate_limit_wait_micros));
-      value->append(line);
-    }
-    for (size_t level = 0; level < stats.files_per_level.size(); level++) {
-      if (stats.files_per_level[level] == 0 &&
-          stats.compactions_per_level[level] == 0 &&
-          stats.compaction_written_per_level[level] == 0) {
-        continue;
-      }
-      snprintf(line, sizeof(line),
-               "L%zu: %d files / %llu bytes, %llu compactions, read %llu, "
-               "written %llu\n",
-               level, stats.files_per_level[level],
-               static_cast<unsigned long long>(stats.bytes_per_level[level]),
-               static_cast<unsigned long long>(
-                   stats.compactions_per_level[level]),
-               static_cast<unsigned long long>(
-                   stats.compaction_read_per_level[level]),
-               static_cast<unsigned long long>(
-                   stats.compaction_written_per_level[level]));
-      value->append(line);
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace apmbench::lsm

@@ -1,7 +1,6 @@
 #ifndef APMBENCH_LSM_DB_H_
 #define APMBENCH_LSM_DB_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -15,8 +14,6 @@
 #include <vector>
 
 #include "common/env.h"
-#include "common/fanout.h"
-#include "common/rate_limiter.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "lsm/block_cache.h"
@@ -76,33 +73,15 @@ class DB {
   struct Stats {
     uint64_t num_flushes = 0;
     uint64_t num_compactions = 0;
-    uint64_t compaction_bytes_read = 0;
     uint64_t compaction_bytes_written = 0;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
-    /// Bytes currently charged to the block cache (data blocks plus the
-    /// pinned index/filter blocks) and entries evicted so far.
-    uint64_t cache_charge = 0;
+    /// Block-cache entries evicted so far.
     uint64_t cache_evictions = 0;
-    /// Charge-accuracy accounting: cumulative payload bytes handed to the
-    /// cache by inserts vs the bytes actually charged for them (payload
-    /// plus the per-entry resident footprint — string header, cache
-    /// handle, hash-table node). payload/charged is the accuracy ratio;
-    /// it drops as blocks shrink (prefix compression), which is why
-    /// the overhead is charged at all.
-    uint64_t cache_inserted_payload_bytes = 0;
-    uint64_t cache_inserted_charged_bytes = 0;
-    /// Data-block cache hits/misses of the tables on each level (indexed
-    /// like files_per_level).
-    std::vector<uint64_t> cache_hits_per_level;
-    std::vector<uint64_t> cache_misses_per_level;
     uint64_t memtable_bytes = 0;
     /// Total on-disk index-block bytes across live tables (the
     /// restart-point shrink is visible here).
     uint64_t index_bytes = 0;
-    /// Tables skipped by Scan via prefix bloom filters
-    /// (ReadOptions::prefix_same_as_start).
-    uint64_t prefix_bloom_skips = 0;
     /// Bytes discarded as torn WAL tails during the last recovery (benign
     /// interrupted appends; mid-log damage fails Open instead).
     uint64_t wal_dropped_bytes = 0;
@@ -133,23 +112,12 @@ class DB {
     /// them (the scheduler's queue depth).
     uint64_t running_compactions = 0;
     uint64_t claimed_files = 0;
-    /// Subcompaction subtasks run so far (counted only when a job was
-    /// actually split).
-    uint64_t num_subcompactions = 0;
     /// Tables removed from the live version but kept alive (file not yet
     /// unlinked) because an iterator or in-flight job still reads them.
     uint64_t zombie_tables = 0;
-    /// Background-I/O rate limiter totals (zero when unlimited).
-    uint64_t rate_limited_bytes = 0;
-    uint64_t rate_limit_wait_micros = 0;
+    /// Live tables on each level (index = level; size-tiered keeps every
+    /// table on level 0).
     std::vector<int> files_per_level;
-    std::vector<uint64_t> bytes_per_level;
-    /// Compaction work by level: jobs that output into the level, bytes
-    /// read from the level's files as compaction input, bytes written
-    /// into the level as compaction/flush output.
-    std::vector<uint64_t> compactions_per_level;
-    std::vector<uint64_t> compaction_read_per_level;
-    std::vector<uint64_t> compaction_written_per_level;
   };
 
   /// Opens (creating or recovering) the database in `options.dir`.
@@ -207,26 +175,14 @@ class DB {
   /// of tooling Section 6's debugging stories call for.
   Status VerifyIntegrity();
 
+  /// Copies the counters above.
   Stats GetStats();
-
-  /// Named introspection properties, LevelDB-style. Supported:
-  ///   "lsm.cache-stats"  — multi-line per-level cache hit rates plus
-  ///                        totals, charge, and capacity
-  ///   "lsm.cache-charge" — bytes currently charged to the block cache
-  ///   "lsm.compaction-stats" — scheduler state (running jobs, claims,
-  ///                        zombies), stall totals, and per-level
-  ///                        compaction counters
-  /// Returns false for unknown properties.
-  bool GetProperty(const Slice& property, std::string* value);
 
   const Options& options() const { return options_; }
 
  private:
   struct CompactionJob {
     std::vector<FileMeta> inputs;
-    /// Level each entry of `inputs` currently lives on (parallel vector),
-    /// for per-level read attribution.
-    std::vector<int> input_levels;
     int output_level = 0;
     bool drop_tombstones = false;
     bool single_output = false;  // size-tiered merges a bucket into 1 table
@@ -301,17 +257,10 @@ class DB {
   /// pick can select an overlapping set. Requires mu_; the caller must
   /// ReleaseFiles(job->inputs) when the job finishes.
   bool PickCompaction(CompactionJob* job);
-  /// Runs one claimed job end to end (requires mu_ NOT held): merges the
-  /// inputs — split into parallel subcompactions when eligible — applies
-  /// the version edit, and moves the inputs to the zombie list.
+  /// Runs one claimed job end to end (requires mu_ NOT held): merges all
+  /// inputs in one pass, applies the version edit, and moves the inputs
+  /// to the zombie list.
   void RunCompaction(const CompactionJob& job);
-  /// Merges `inputs` over the key range [start, end) (empty = unbounded)
-  /// into new tables. Requires mu_ NOT held.
-  Status RunSubcompaction(const std::vector<std::shared_ptr<Table>>& inputs,
-                          const CompactionJob& job, const std::string& start,
-                          const std::string& end,
-                          std::vector<FileMeta>* outputs,
-                          std::vector<uint64_t>* numbers);
   uint64_t MaxBytesForLevel(int level) const;
 
   /// Unlinks zombie tables nothing references anymore. A table moves to
@@ -322,12 +271,10 @@ class DB {
   /// mu_.
   void CollectZombiesLocked();
 
-  /// Writes the contents of `iter` into one or more new tables at
-  /// `output_level` (stats attribution only — placement happens in the
-  /// caller's VersionEdit). Charges the rate limiter as bytes accumulate.
-  /// Requires the mutex NOT held; safe to run from several threads at
-  /// once.
-  Status WriteTables(Iterator* iter, bool single_output, int output_level,
+  /// Writes the contents of `iter` into one or more new tables (placement
+  /// happens in the caller's VersionEdit). Requires the mutex NOT held;
+  /// safe to run from several threads at once.
+  Status WriteTables(Iterator* iter, bool single_output,
                      std::vector<FileMeta>* outputs,
                      std::vector<uint64_t>* numbers);
 
@@ -354,10 +301,6 @@ class DB {
   mutable std::mutex view_mu_;
   std::shared_ptr<const ReadView> view_;
 
-  /// Tables a Scan skipped entirely because their prefix bloom ruled out
-  /// the scan's key prefix. Updated lock-free on the read path.
-  std::atomic<uint64_t> prefix_bloom_skips_{0};
-
   /// Highest sequence number whose write group is fully applied to the
   /// memtable. Readers filter the live memtable by it so half-applied
   /// groups stay invisible and batches remain atomic.
@@ -381,12 +324,6 @@ class DB {
   /// file, a job finishes (cascading work, claim releases), a manual
   /// compaction is requested, or at shutdown.
   std::condition_variable compaction_cv_;
-  /// Shared executor for subcompaction subtasks; null when
-  /// Options::subcompactions <= 1. Callers participate, so concurrent
-  /// jobs can share it without deadlock.
-  std::unique_ptr<FanoutExecutor> subcompaction_pool_;
-  /// Token bucket charged by WriteTables; null when unlimited.
-  std::unique_ptr<RateLimiter> rate_limiter_;
 
   bool shutting_down_ = false;
   bool closed_ = false;
@@ -402,22 +339,15 @@ class DB {
   uint64_t grouped_writes_ = 0;
   uint64_t num_flushes_ = 0;
   uint64_t num_compactions_ = 0;
-  uint64_t num_subcompactions_ = 0;
   uint64_t stall_slowdown_micros_ = 0;
   uint64_t stall_slowdown_writes_ = 0;
   uint64_t stall_stop_micros_ = 0;
   uint64_t stall_stop_writes_ = 0;
   uint64_t stall_escape_compactions_ = 0;
-  uint64_t compaction_bytes_read_ = 0;
   /// Accumulated in WriteTables, which runs outside mu_ and concurrently
   /// across flush + compaction threads — hence atomic, unlike the
   /// counters above (all mutated under mu_).
   std::atomic<uint64_t> compaction_bytes_written_{0};
-  std::array<std::atomic<uint64_t>, Options::kNumLevels>
-      compaction_written_per_level_{};
-  /// Input attribution, updated under mu_ when a job starts.
-  std::array<uint64_t, Options::kNumLevels> compaction_read_per_level_{};
-  std::array<uint64_t, Options::kNumLevels> compactions_per_level_{};
 };
 
 }  // namespace apmbench::lsm

@@ -56,13 +56,6 @@ struct Options {
   /// Bloom filter bits per key in each SSTable (0 disables filters).
   int bloom_bits_per_key = 10;
 
-  /// When > 0, each table additionally stores a bloom filter
-  /// over the first `prefix_bloom_length` bytes of its keys. Range scans
-  /// issued with ReadOptions::prefix_same_as_start can then skip whole
-  /// tables that contain no key with the scan's prefix, the way point
-  /// gets already skip on the full-key bloom. 0 disables prefix blooms.
-  size_t prefix_bloom_length = 0;
-
   /// Per-block compression of SSTable data blocks. The paper ran all
   /// systems uncompressed ("the disk usage can be reduced by using
   /// compression which, however, will decrease the throughput"); the
@@ -90,13 +83,9 @@ struct Options {
 
   /// Size of the compaction thread pool. Flushes always run on their own
   /// dedicated thread; these threads only run compactions, so a long
-  /// merge can never delay memtable flushes. Clamped to >= 1.
+  /// merge can never delay memtable flushes. Each job is one serial merge
+  /// of its inputs on the thread that picked it. Clamped to >= 1.
   int compaction_threads = 2;
-
-  /// Maximum number of parallel subcompactions per leveled compaction
-  /// job: the job's key range is partitioned and the pieces are merged
-  /// concurrently through a shared FanoutExecutor. 1 disables splitting.
-  int subcompactions = 1;
 
   /// Write admission control (RocksDB semantics). When the number of
   /// level-0 sorted runs reaches `level0_slowdown_trigger`, each write is
@@ -107,11 +96,6 @@ struct Options {
   int level0_slowdown_trigger = 20;
   int level0_stop_trigger = 36;
 
-  /// Byte budget per second for background I/O (flush + compaction),
-  /// enforced by a token-bucket RateLimiter private to the DB.
-  /// 0 = unlimited.
-  uint64_t rate_limit_bytes_per_sec = 0;
-
   /// Number of levels maintained by the leveled strategy.
   static constexpr int kNumLevels = 7;
 };
@@ -120,13 +104,6 @@ struct Options {
 struct ReadOptions {
   /// Fill the block cache with blocks read by this operation.
   bool fill_cache = true;
-
-  /// Scan-only: promise that the caller only consumes keys sharing the
-  /// first min(prefix_bloom_length, start.size()) bytes of the scan start
-  /// key. The scan then truncates its result at the end of that prefix
-  /// range and may skip entire tables via their prefix bloom filters.
-  /// Ignored by Get.
-  bool prefix_same_as_start = false;
 };
 
 }  // namespace apmbench::lsm

@@ -14,7 +14,10 @@ namespace apmbench::lsm {
 namespace {
 
 constexpr uint64_t kTableMagic = 0x41504d424e434832ull;  // "APMBNCH2"
-constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + 8 + 4 + 4 + 4 + 8;
+/// Reserved footer bytes between filter_sz and format_version; see the
+/// format comment in sstable.h.
+constexpr size_t kFooterReservedSize = 8 + 4 + 4;
+constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + kFooterReservedSize + 4 + 8;
 
 constexpr uint8_t kFlagTombstone = 0x1;
 
@@ -43,14 +46,25 @@ Status ParseFooter(const Slice& tail, const std::string& path,
   GetFixed32(&f, &out->index_size);
   GetFixed64(&f, &out->filter_offset);
   GetFixed32(&f, &out->filter_size);
-  GetFixed64(&f, &out->prefix_filter_offset);
-  GetFixed32(&f, &out->prefix_filter_size);
-  GetFixed32(&f, &out->prefix_bloom_length);
+  f.RemovePrefix(kFooterReservedSize);
   GetFixed32(&f, &out->format_version);
   if (out->format_version != kTableFormatV2) {
     return Status::Corruption("unsupported table format version " +
                               std::to_string(out->format_version) + ": " +
                               path);
+  }
+  return Status::OK();
+}
+
+/// Fails unless [offset, offset + size) lies inside [0, limit), without
+/// overflowing; the error names the extent.
+Status CheckExtent(const char* name, uint64_t offset, uint32_t size,
+                   uint64_t limit, const std::string& path) {
+  if (offset > limit || size > limit - offset) {
+    return Status::Corruption(
+        std::string(name) + " extent [" + std::to_string(offset) + ", +" +
+        std::to_string(size) + ") exceeds limit " + std::to_string(limit) +
+        ": " + path);
   }
   return Status::OK();
 }
@@ -271,10 +285,6 @@ TableBuilder::TableBuilder(const Options& options, Env* env, std::string path)
       index_builder_(options.block_restart_interval) {
   if (options_.bloom_bits_per_key > 0) {
     filter_ = std::make_unique<BloomFilterBuilder>(options_.bloom_bits_per_key);
-    if (options_.prefix_bloom_length > 0) {
-      prefix_filter_ = std::make_unique<PrefixBloomBuilder>(
-          options_.bloom_bits_per_key, options_.prefix_bloom_length);
-    }
   }
 }
 
@@ -299,7 +309,6 @@ Status TableBuilder::Add(const Slice& key, const Slice& value, uint64_t seq,
   payload_scratch_.append(value.data(), value.size());
   data_builder_.Add(key, Slice(payload_scratch_));
   if (filter_ != nullptr) filter_->AddKey(key);
-  if (prefix_filter_ != nullptr) prefix_filter_->AddKey(key);
   num_entries_++;
   if (data_builder_.CurrentSizeEstimate() >= options_.block_size) {
     return FlushDataBlock();
@@ -358,16 +367,6 @@ Status TableBuilder::Finish() {
     offset_ += filter_data.size();
   }
 
-  uint64_t prefix_filter_offset = offset_;
-  std::string prefix_filter_data;
-  uint32_t prefix_bloom_length = 0;
-  if (prefix_filter_ != nullptr && prefix_filter_->NumPrefixes() > 0) {
-    prefix_filter_data = prefix_filter_->Finish();
-    APM_RETURN_IF_ERROR(file_->Append(prefix_filter_data));
-    offset_ += prefix_filter_data.size();
-    prefix_bloom_length = static_cast<uint32_t>(options_.prefix_bloom_length);
-  }
-
   const uint64_t index_offset = offset_;
   const Slice index_block = index_builder_.Finish();
   APM_RETURN_IF_ERROR(file_->Append(index_block));
@@ -378,9 +377,12 @@ Status TableBuilder::Finish() {
   PutFixed32(&footer, static_cast<uint32_t>(index_block.size()));
   PutFixed64(&footer, filter_offset);
   PutFixed32(&footer, static_cast<uint32_t>(filter_data.size()));
-  PutFixed64(&footer, prefix_filter_offset);
-  PutFixed32(&footer, static_cast<uint32_t>(prefix_filter_data.size()));
-  PutFixed32(&footer, prefix_bloom_length);
+  // Reserved: an empty extent at the index (former prefix_filter_off,
+  // prefix_filter_sz, prefix_bloom_length), byte-identical to the tables
+  // earlier builds wrote without a prefix bloom.
+  PutFixed64(&footer, index_offset);
+  PutFixed32(&footer, 0);
+  PutFixed32(&footer, 0);
   PutFixed32(&footer, kTableFormatV2);
   PutFixed64(&footer, kTableMagic);
   APM_RETURN_IF_ERROR(file_->Append(footer));
@@ -415,6 +417,21 @@ Status Table::Open(const Options& options, Env* env, const std::string& path,
   t->file_size_ = t->file_->Size();
   APM_RETURN_IF_ERROR(
       ReadFooterFrom(t->file_.get(), t->file_size_, path, &t->footer_));
+  const TableFooter& footer = t->footer_;
+
+  // Every extent must lie before the footer; checked before anything is
+  // allocated, so a damaged size field cannot trigger a huge zero-filled
+  // buffer. ReadFooterFrom guarantees file_size >= kFooterSize.
+  const uint64_t body_size = t->file_size_ - kFooterSize;
+  APM_RETURN_IF_ERROR(CheckExtent("index", footer.index_offset,
+                                  footer.index_size, body_size, path));
+  APM_RETURN_IF_ERROR(CheckExtent("filter", footer.filter_offset,
+                                  footer.filter_size, body_size, path));
+  // Data blocks precede the filter and index blocks.
+  const uint64_t data_limit =
+      footer.filter_size > 0
+          ? std::min(footer.filter_offset, footer.index_offset)
+          : footer.index_offset;
 
   // Load the index block. It is prefix-compressed on disk, so materialize
   // the full keys once into index_storage_ and drop the raw block.
@@ -444,6 +461,8 @@ Status Table::Open(const Options& options, Env* env, const std::string& path,
     raw.key_size = cursor.key().size();
     raw.offset = DecodeFixed64(payload.data());
     raw.size = DecodeFixed32(payload.data() + 8);
+    APM_RETURN_IF_ERROR(
+        CheckExtent("data block", raw.offset, raw.size, data_limit, path));
     t->index_storage_.append(cursor.key().data(), cursor.key().size());
     raw_entries.push_back(raw);
   }
@@ -460,55 +479,35 @@ Status Table::Open(const Options& options, Env* env, const std::string& path,
     t->index_.push_back(entry);
   }
 
-  // Load the bloom filter(s), pinned and charged to the cache.
-  auto load_pinned = [&](uint64_t offset, uint32_t size,
-                         BlockCache::BlockHandle* handle,
-                         Slice* contents) -> Status {
+  // Load the bloom filter, pinned and charged to the cache.
+  if (footer.filter_size > 0) {
+    const uint32_t size = footer.filter_size;
     std::string data(size, '\0');
     Slice read;
-    APM_RETURN_IF_ERROR(t->file_->Read(offset, size, &read, data.data()));
+    APM_RETURN_IF_ERROR(
+        t->file_->Read(footer.filter_offset, size, &read, data.data()));
     if (read.size() != size) {
       return Status::Corruption("short filter read: " + path);
     }
     if (read.data() != data.data()) {
       data.assign(read.data(), read.size());
     }
-    *handle = cache != nullptr
-                  ? cache->Insert(file_number, offset, std::move(data))
-                  : BlockCache::Wrap(std::move(data));
-    *contents = Slice(**handle);
-    return Status::OK();
-  };
-  if (t->footer_.filter_size > 0) {
-    APM_RETURN_IF_ERROR(load_pinned(t->footer_.filter_offset,
-                                    t->footer_.filter_size, &t->filter_block_,
-                                    &t->filter_));
-  }
-  if (t->footer_.prefix_filter_size > 0) {
-    APM_RETURN_IF_ERROR(
-        load_pinned(t->footer_.prefix_filter_offset,
-                    t->footer_.prefix_filter_size, &t->prefix_filter_block_,
-                    &t->prefix_filter_));
+    t->filter_block_ =
+        cache != nullptr
+            ? cache->Insert(file_number, footer.filter_offset, std::move(data))
+            : BlockCache::Wrap(std::move(data));
+    t->filter_ = Slice(*t->filter_block_);
   }
 
   *table = std::move(t);
   return Status::OK();
 }
 
-bool Table::MayMatchPrefix(const Slice& prefix) const {
-  if (prefix_filter_.empty()) return true;
-  return BloomFilterMayMatch(prefix_filter_, prefix);
-}
-
 Status Table::ReadBlock(uint64_t offset, uint32_t size,
                         BlockCache::BlockHandle* block, bool fill_cache) {
   if (cache_ != nullptr) {
     *block = cache_->Lookup(file_number_, offset);
-    if (*block != nullptr) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (*block != nullptr) return Status::OK();
   }
   if (size < 5) return Status::Corruption("block too small");
   std::string raw(size, '\0');

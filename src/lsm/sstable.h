@@ -1,7 +1,6 @@
 #ifndef APMBENCH_LSM_SSTABLE_H_
 #define APMBENCH_LSM_SSTABLE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,13 +28,14 @@ namespace apmbench::lsm {
 /// `fixed64 offset, fixed32 span`. The footer is 52 bytes:
 ///
 ///   fixed64 index_off, fixed32 index_sz, fixed64 filter_off,
-///   fixed32 filter_sz, fixed64 prefix_filter_off,
-///   fixed32 prefix_filter_sz, fixed32 prefix_bloom_length,
-///   fixed32 format_version, fixed64 magic
+///   fixed32 filter_sz, 16 reserved bytes, fixed32 format_version,
+///   fixed64 magic
 ///
-/// The optional prefix filter block is a bloom over the distinct
-/// `prefix_bloom_length`-byte key prefixes, letting bounded range scans
-/// skip whole tables.
+/// The 16 reserved bytes once described an optional prefix-bloom filter
+/// block (fixed64 prefix_filter_off, fixed32 prefix_filter_sz, fixed32
+/// prefix_bloom_length). The writer fills them with index_off, 0, 0, and
+/// the reader ignores them, so tables that still carry such a block open
+/// as before.
 ///
 /// Each data block carries a 1-byte compression type plus a fixed32
 /// masked crc32c trailer.
@@ -48,9 +48,6 @@ struct TableFooter {
   uint32_t index_size = 0;
   uint64_t filter_offset = 0;
   uint32_t filter_size = 0;
-  uint64_t prefix_filter_offset = 0;
-  uint32_t prefix_filter_size = 0;
-  uint32_t prefix_bloom_length = 0;
 };
 
 /// Reads and validates the footer of the table at `path`. Fails with
@@ -190,7 +187,6 @@ class TableBuilder {
 
   BlockBuilder data_builder_;
   BlockBuilder index_builder_;
-  std::unique_ptr<class PrefixBloomBuilder> prefix_filter_;
   std::string payload_scratch_;
 
   std::unique_ptr<class BloomFilterBuilder> filter_;
@@ -203,8 +199,8 @@ class TableBuilder {
   bool finished_ = false;
 };
 
-/// Reader for an SSTable. The bloom-filter block(s) are pinned,
-/// cache-charged entries — the table holds handles for its lifetime. The
+/// Reader for an SSTable. The bloom-filter block is a pinned,
+/// cache-charged entry — the table holds its handle for its lifetime. The
 /// index block is prefix-compressed on disk, so Open materializes the full
 /// keys once into a private buffer and drops the raw block. Data blocks are
 /// fetched through the shared BlockCache zero-copy: readers parse the
@@ -230,21 +226,6 @@ class Table {
   /// here; feeds DB::Stats).
   uint64_t index_block_bytes() const { return footer_.index_size; }
 
-  /// Prefix length this table's prefix bloom was built over; 0 = none.
-  size_t prefix_bloom_length() const { return footer_.prefix_bloom_length; }
-  /// Returns false only when the table provably contains no key starting
-  /// with `prefix` (which must be exactly prefix_bloom_length() bytes).
-  bool MayMatchPrefix(const Slice& prefix) const;
-
-  /// Data-block cache hits/misses observed through this table (feeds the
-  /// per-level hit rates in DB::Stats).
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class TableIterator;
 
@@ -267,17 +248,13 @@ class Table {
   uint64_t file_size_ = 0;
   TableFooter footer_;
   BlockCache* cache_ = nullptr;
-  /// Lifetime pins on the bloom-filter blocks. Pinned entries are
-  /// charged to the cache but never evicted; EvictFile only unlinks them,
-  /// the bytes stay valid until the Table goes away.
+  /// Lifetime pin on the bloom-filter block. A pinned entry is charged
+  /// to the cache but never evicted; EvictFile only unlinks it, the bytes
+  /// stay valid until the Table goes away.
   BlockCache::BlockHandle filter_block_;
-  BlockCache::BlockHandle prefix_filter_block_;
   std::string index_storage_;  // materialized index keys
   std::vector<IndexEntry> index_;
-  Slice filter_;         // empty when the table has no filter
-  Slice prefix_filter_;  // empty when the table has no prefix bloom
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
+  Slice filter_;  // empty when the table has no filter
 };
 
 }  // namespace apmbench::lsm

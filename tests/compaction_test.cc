@@ -1,8 +1,8 @@
 // Deterministic tests for the parallel compaction pipeline: the
 // flush/compaction thread split, input-claim disjointness, write
-// admission control (slowdown/stop triggers), subcompaction splitting,
-// the background-I/O rate limiter, and the zombie-table GC that keeps
-// compacted files on disk while snapshot iterators still read them.
+// admission control (slowdown/stop triggers), and the zombie-table GC
+// that keeps compacted files on disk while snapshot iterators still read
+// them.
 //
 // Scheduling is made deterministic with a gating Env that blocks the
 // first Append of selected SSTable creations (counted in creation
@@ -21,9 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/env.h"
-#include "common/rate_limiter.h"
 #include "lsm/db.h"
 #include "lsm/version.h"
 #include "tests/test_util.h"
@@ -244,68 +242,6 @@ void ExpectRange(lsm::DB* db, const std::string& prefix, int begin, int end,
                         << s.ToString();
     EXPECT_EQ(value, Value(i, value_width));
   }
-}
-
-// ---------------------------------------------------------------------------
-// RateLimiter
-
-TEST(RateLimiterTest, UnlimitedIsPassThrough) {
-  RateLimiter limiter(0);
-  EXPECT_FALSE(limiter.enabled());
-  uint64_t start = NowMicros();
-  limiter.Request(100 * 1024 * 1024);
-  limiter.Request(0);
-  EXPECT_LT(NowMicros() - start, 1000000u);  // no pacing happened
-  EXPECT_EQ(limiter.total_bytes(), 100u * 1024 * 1024);
-  EXPECT_EQ(limiter.total_wait_micros(), 0u);
-}
-
-TEST(RateLimiterTest, PacesRequestsBeyondBurst) {
-  // 10 MB/s with a 16 KiB burst: the bucket starts full, so a 100 KiB
-  // request must wait for ~84 KiB of refill — about 8 ms.
-  RateLimiter limiter(10 * 1024 * 1024, 16 * 1024);
-  uint64_t start = NowMicros();
-  limiter.Request(100 * 1024);
-  uint64_t elapsed = NowMicros() - start;
-  EXPECT_GE(elapsed, 4000u);  // loose lower bound for CI jitter
-  EXPECT_EQ(limiter.total_bytes(), 100u * 1024);
-  EXPECT_GT(limiter.total_wait_micros(), 0u);
-}
-
-TEST(RateLimiterTest, OversizedRequestSplitsIntoBurstInstallments) {
-  // A request larger than the burst must not deadlock: it drains in
-  // burst-sized installments.
-  RateLimiter limiter(50 * 1024 * 1024, 4 * 1024);
-  limiter.Request(64 * 1024);
-  EXPECT_EQ(limiter.total_bytes(), 64u * 1024);
-}
-
-TEST(RateLimiterTest, ConcurrentRequestersAllComplete) {
-  RateLimiter limiter(32 * 1024 * 1024, 8 * 1024);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; i++) {
-    threads.emplace_back([&] {
-      for (int j = 0; j < 8; j++) limiter.Request(4 * 1024);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(limiter.total_bytes(), 4u * 8 * 4 * 1024);
-}
-
-TEST(RateLimiterTest, DbChargesFlushAndCompactionBytes) {
-  ScopedTempDir dir("ratelimit");
-  lsm::Options options = BaseOptions(dir.path(), Env::Default());
-  // Fast enough that the test never meaningfully stalls, but every
-  // flushed/compacted byte still flows through the bucket.
-  options.rate_limit_bytes_per_sec = 512 * 1024 * 1024;
-  std::unique_ptr<lsm::DB> db;
-  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
-  PutRange(db.get(), "k", 0, 500);
-  ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->CompactAll().ok());
-  lsm::DB::Stats stats = db->GetStats();
-  EXPECT_GT(stats.rate_limited_bytes, 0u);
-  ASSERT_TRUE(db->Close().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -542,38 +478,6 @@ TEST(AdmissionControlTest, StopTriggerBoundsL0AndUnblocksAfterCompaction) {
   EXPECT_GT(stats.stall_stop_micros, 0u);
   ExpectRange(db.get(), "k", 0, 30);
   ExpectRange(db.get(), "w", 0, 200);
-  EXPECT_TRUE(db->VerifyIntegrity().ok());
-  ASSERT_TRUE(db->Close().ok());
-}
-
-// ---------------------------------------------------------------------------
-// Subcompactions
-
-TEST(SubcompactionTest, LeveledJobSplitsAcrossKeyRanges) {
-  ScopedTempDir dir("subcompact");
-  lsm::Options options = BaseOptions(dir.path(), Env::Default());
-  options.compaction_style = CompactionStyle::kLeveled;
-  options.level0_compaction_trigger = 2;
-  options.subcompactions = 2;
-  options.compaction_threads = 1;
-  std::unique_ptr<lsm::DB> db;
-  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
-
-  // Two L0 tables with distinct smallest keys give the partitioner a
-  // boundary to split at.
-  PutRange(db.get(), "a", 0, 100);
-  ASSERT_TRUE(db->Flush().ok());
-  PutRange(db.get(), "b", 0, 100);
-  ASSERT_TRUE(db->Flush().ok());
-
-  ASSERT_TRUE(WaitFor([&] {
-    lsm::DB::Stats s = db->GetStats();
-    return s.num_compactions >= 1 && s.running_compactions == 0;
-  }));
-  lsm::DB::Stats stats = db->GetStats();
-  EXPECT_GE(stats.num_subcompactions, 2u);
-  ExpectRange(db.get(), "a", 0, 100);
-  ExpectRange(db.get(), "b", 0, 100);
   EXPECT_TRUE(db->VerifyIntegrity().ok());
   ASSERT_TRUE(db->Close().ok());
 }

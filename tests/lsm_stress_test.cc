@@ -353,21 +353,19 @@ TEST(LsmStressTest, Leveled) {
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
   options.level1_max_bytes = 64 * 1024;  // force multi-level movement
-  options.subcompactions = 2;
   RunStress(options, "stress-leveled");
 }
 
-TEST(LsmStressTest, FormatV2PrefixBloom) {
+TEST(LsmStressTest, SmallRestartIntervalAndArena) {
   lsm::Options options = StressOptions();
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
   // Exercise the table writer with an aggressive restart interval (more
-  // restart-boundary seeks per block) and the prefix bloom build path on
-  // every flush and compaction.
+  // restart-boundary seeks per block) on every flush and compaction, and
+  // the memtable with small arena blocks.
   options.block_restart_interval = 4;
-  options.prefix_bloom_length = 3;
   options.arena_block_bytes = 1024;
-  RunStress(options, "stress-v2-prefix");
+  RunStress(options, "stress-restart-arena");
 }
 
 TEST(LsmStressTest, SizeTieredRotationChurn) {
@@ -383,9 +381,8 @@ TEST(LsmStressTest, SizeTieredRotationChurn) {
 }
 
 TEST(LsmStressTest, LeveledDefaultLevelSizes) {
-  // Leveled with the default L1 budget and no subcompactions: the plain
-  // L0 -> L1 path, without the multi-level movement and subcompaction
-  // split that the Leveled variant forces.
+  // Leveled with the default L1 budget: the plain L0 -> L1 path, without
+  // the multi-level movement that the Leveled variant forces.
   lsm::Options options = StressOptions();
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;

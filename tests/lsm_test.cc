@@ -615,43 +615,6 @@ TEST_F(SSTableTest, PrefixCompressionShrinksTableAndIndex) {
   EXPECT_LT(index_sizes[1], index_sizes[0]);
 }
 
-TEST_F(SSTableTest, PrefixBloomFiltersAbsentPrefixes) {
-  options_.prefix_bloom_length = 8;
-  std::string path = dir_.path() + "/pfx.sst";
-  TableBuilder builder(options_, Env::Default(), path);
-  ASSERT_TRUE(builder.Open().ok());
-  for (int g = 0; g < 64; g++) {
-    for (int i = 0; i < 8; i++) {
-      char key[32];
-      snprintf(key, sizeof(key), "grp%05d/item%03d", g, i);
-      ASSERT_TRUE(builder.Add(key, "v", 1, false).ok());
-    }
-  }
-  ASSERT_TRUE(builder.Finish().ok());
-
-  BlockCache cache(1 << 20);
-  std::unique_ptr<Table> table;
-  ASSERT_TRUE(
-      Table::Open(options_, Env::Default(), path, 9, &cache, &table).ok());
-  EXPECT_EQ(table->prefix_bloom_length(), 8u);
-
-  // Never a false negative.
-  for (int g = 0; g < 64; g++) {
-    char prefix[16];
-    snprintf(prefix, sizeof(prefix), "grp%05d", g);
-    EXPECT_TRUE(table->MayMatchPrefix(Slice(prefix, 8)));
-  }
-  // Absent prefixes are mostly ruled out (the filter is deterministic,
-  // the bound just leaves room for its ~1% false-positive rate).
-  int matches = 0;
-  for (int g = 10000; g < 10200; g++) {
-    char prefix[16];
-    snprintf(prefix, sizeof(prefix), "grp%05d", g);
-    if (table->MayMatchPrefix(Slice(prefix, 8))) matches++;
-  }
-  EXPECT_LT(matches, 20);
-}
-
 TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
   std::string path = dir_.path() + "/vt.sst";
   TableBuilder builder(options_, Env::Default(), path);
@@ -698,6 +661,125 @@ TEST_F(SSTableTest, FooterRejectsUnknownVersionAndMagic) {
     EXPECT_TRUE(Table::Open(options_, Env::Default(), magic_path, number++,
                             &cache, &table)
                     .IsCorruption());
+  }
+}
+
+// Footer field offsets, counted from the start of the 52-byte footer.
+constexpr size_t kFooterBytes = 52;
+constexpr size_t kIndexSizeAt = 8;
+constexpr size_t kFilterOffsetAt = 12;
+constexpr size_t kFilterSizeAt = 20;
+constexpr size_t kReservedAt = 24;
+
+/// Builds a small multi-block table at `path` and returns its bytes.
+std::string BuildTableBytes(const Options& options, const std::string& path) {
+  TableBuilder builder(options, Env::Default(), path);
+  EXPECT_TRUE(builder.Open().ok());
+  for (int i = 0; i < 200; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%05d", i);
+    EXPECT_TRUE(builder.Add(key, "value", 1, false).ok());
+  }
+  EXPECT_TRUE(builder.Finish().ok());
+  std::string data;
+  EXPECT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
+  return data;
+}
+
+void PatchFixed32(std::string* data, size_t at, uint32_t value) {
+  std::string encoded;
+  PutFixed32(&encoded, value);
+  data->replace(at, 4, encoded);
+}
+
+TEST_F(SSTableTest, WriterFillsReservedFooterFieldsAsEmptyExtent) {
+  const std::string data =
+      BuildTableBytes(options_, dir_.path() + "/reserved.sst");
+  const size_t footer = data.size() - kFooterBytes;
+  // index_off, 0, 0: what earlier builds wrote with no prefix bloom.
+  EXPECT_EQ(DecodeFixed64(data.data() + footer + kReservedAt),
+            DecodeFixed64(data.data() + footer));
+  EXPECT_EQ(DecodeFixed32(data.data() + footer + kReservedAt + 8), 0u);
+  EXPECT_EQ(DecodeFixed32(data.data() + footer + kReservedAt + 12), 0u);
+}
+
+// Table::Open validates every extent it reads from the file before
+// allocating a buffer for it.
+TEST_F(SSTableTest, OpenRejectsFooterExtentsPastTheFooter) {
+  const std::string data = BuildTableBytes(options_, dir_.path() + "/ok.sst");
+  const size_t footer = data.size() - kFooterBytes;
+  BlockCache cache(1 << 20);
+  uint64_t number = 20;
+  struct Patch {
+    size_t at;
+    uint32_t value;
+    const char* extent;
+  };
+  const uint32_t past_end = static_cast<uint32_t>(data.size());
+  const Patch patches[] = {
+      {kIndexSizeAt, 0xfffffff0u, "index extent"},
+      {kIndexSizeAt, past_end, "index extent"},
+      {kFilterSizeAt, 0xfffffff0u, "filter extent"},
+      {kFilterOffsetAt, past_end, "filter extent"},
+  };
+  for (const Patch& patch : patches) {
+    std::string bad = data;
+    PatchFixed32(&bad, footer + patch.at, patch.value);
+    const std::string path =
+        dir_.path() + "/bad" + std::to_string(number) + ".sst";
+    ASSERT_TRUE(Env::Default()->WriteStringToFile(path, Slice(bad)).ok());
+    std::unique_ptr<Table> table;
+    Status s =
+        Table::Open(options_, Env::Default(), path, number++, &cache, &table);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(patch.extent), std::string::npos)
+        << s.ToString();
+  }
+
+  // An offset near 2^64 must not wrap around the bounds check.
+  std::string wrapped = data;
+  std::string huge;
+  PutFixed64(&huge, ~0ull - 8);
+  wrapped.replace(footer, 8, huge);
+  const std::string path = dir_.path() + "/wrapped.sst";
+  ASSERT_TRUE(Env::Default()->WriteStringToFile(path, Slice(wrapped)).ok());
+  std::unique_ptr<Table> table;
+  Status s =
+      Table::Open(options_, Env::Default(), path, number, &cache, &table);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("index extent"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SSTableTest, OpenRejectsIndexEntryPastTheDataBlocks) {
+  const std::string data = BuildTableBytes(options_, dir_.path() + "/ok.sst");
+  const size_t footer = data.size() - kFooterBytes;
+  const uint64_t index_off = DecodeFixed64(data.data() + footer);
+  const uint32_t index_sz = DecodeFixed32(data.data() + footer + kIndexSizeAt);
+  // Locate the first index entry's payload (fixed64 offset, fixed32 span)
+  // inside the file bytes.
+  BlockCursor cursor(Slice(data.data() + index_off, index_sz),
+                     /*data_block=*/false);
+  ASSERT_TRUE(cursor.SeekToFirst());
+  ASSERT_EQ(cursor.payload().size(), 12u);
+  const size_t payload_at =
+      static_cast<size_t>(cursor.payload().data() - data.data());
+
+  BlockCache cache(1 << 20);
+  uint64_t number = 30;
+  // A 4 GiB span, and a span that runs into the filter block.
+  for (uint32_t span : {0xfffffff0u, static_cast<uint32_t>(index_off)}) {
+    std::string bad = data;
+    PatchFixed32(&bad, payload_at + 8, span);
+    const std::string path =
+        dir_.path() + "/badentry" + std::to_string(number) + ".sst";
+    ASSERT_TRUE(Env::Default()->WriteStringToFile(path, Slice(bad)).ok());
+    std::unique_ptr<Table> table;
+    Status s =
+        Table::Open(options_, Env::Default(), path, number++, &cache, &table);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("data block extent"), std::string::npos)
+        << s.ToString();
   }
 }
 
@@ -1032,44 +1114,6 @@ TEST_F(DBTest, TinyMemtableDoesNotFlushPerPut) {
   // The clamped block is 2 KiB / 4 = 512 bytes; an unclamped 4 KiB block
   // alone would exceed this bound.
   EXPECT_LE(max_observed, options_.memtable_bytes + 512 + 128);
-}
-
-// Short bounded scans skip tables whose prefix bloom rules the prefix out.
-TEST_F(DBTest, PrefixBloomScanSkipsDisjointTables) {
-  options_.memtable_bytes = 8 * 1024 * 1024;  // no automatic flushes
-  options_.prefix_bloom_length = 4;
-  Open();
-  const char* groups[] = {"aaaa", "bbbb", "cccc", "dddd"};
-  std::vector<std::pair<std::string, std::string>> expected;
-  for (const char* group : groups) {
-    for (int i = 0; i < 40; i++) {
-      char suffix[8];
-      snprintf(suffix, sizeof(suffix), "/%03d", i);
-      std::string key = std::string(group) + suffix;
-      ASSERT_TRUE(db_->Put(key, std::string("val-") + group).ok());
-      if (std::string(group) == "bbbb") expected.emplace_back(key, "val-bbbb");
-    }
-    // One table per prefix group, so the bloom can discriminate.
-    ASSERT_TRUE(db_->Flush().ok());
-  }
-
-  ReadOptions bounded;
-  bounded.prefix_same_as_start = true;
-  std::vector<std::pair<std::string, std::string>> rows;
-  ASSERT_TRUE(db_->Scan(bounded, "bbbb", 1000, &rows).ok());
-  // Truncated at the prefix boundary, not at the scan limit.
-  EXPECT_EQ(rows, expected);
-
-  // The cccc/dddd tables overlap the scan's key range but not its prefix;
-  // the prefix bloom lets the scan skip them without any block reads.
-  DB::Stats stats = db_->GetStats();
-  EXPECT_GE(stats.prefix_bloom_skips, 2u);
-
-  // An unbounded scan over the same start still sees past the prefix:
-  // 40 bbbb rows plus the 40 cccc and 40 dddd rows after them.
-  rows.clear();
-  ASSERT_TRUE(db_->Scan(ReadOptions(), "bbbb", 1000, &rows).ok());
-  EXPECT_EQ(rows.size(), 120u);
 }
 
 }  // namespace
@@ -1570,6 +1614,88 @@ TEST(SnapshotIteratorTest, SpansMemtableAndTables) {
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen["flushed"], "updated");
   EXPECT_EQ(seen["inmem"], "2");
+}
+
+// Tables written by builds that supported prefix blooms carry a prefix
+// filter block between the bloom filter and the index, described by the
+// footer's now-reserved fields. This build ignores those fields; such a
+// database must open, read, scan and compact as before.
+TEST_F(DBTest, OpensTablesCarryingAPrefixFilterBlock) {
+  Open();
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 600; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "grp%02d/%04d", i % 7, i);
+    const std::string value = "v" + std::to_string(i);
+    ASSERT_TRUE(db_->Put(key, value).ok());
+    model[key] = value;
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Close().ok());
+  db_.reset();
+
+  // Rewrite every table the way a prefix-bloom writer laid it out:
+  // data | filter | prefix filter | index | footer, with the reserved
+  // footer fields naming the new block and a prefix length of 8.
+  // Data-block offsets do not move.
+  std::vector<std::string> children;
+  ASSERT_TRUE(Env::Default()->GetChildren(dir_.path(), &children).ok());
+  int rewritten = 0;
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
+    const std::string path = dir_.path() + "/" + name;
+    std::string data;
+    ASSERT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
+    ASSERT_GE(data.size(), kFooterBytes);
+    const size_t footer_at = data.size() - kFooterBytes;
+    const uint64_t index_off = DecodeFixed64(data.data() + footer_at);
+    const uint32_t filter_sz =
+        DecodeFixed32(data.data() + footer_at + kFilterSizeAt);
+    ASSERT_GT(filter_sz, 0u);
+    BloomFilterBuilder prefix_filter(10);
+    prefix_filter.AddKey("grp00/00");
+    const std::string prefix_block = prefix_filter.Finish();
+
+    std::string old_layout = data.substr(0, index_off);  // data + filter
+    old_layout += prefix_block;
+    old_layout += data.substr(index_off, footer_at - index_off);  // index
+    std::string footer = data.substr(footer_at);
+    std::string fields;
+    PutFixed64(&fields, index_off + prefix_block.size());
+    footer.replace(0, 8, fields);
+    fields.clear();
+    PutFixed64(&fields, index_off);
+    PutFixed32(&fields, static_cast<uint32_t>(prefix_block.size()));
+    PutFixed32(&fields, 8);
+    footer.replace(kReservedAt, 16, fields);
+    old_layout += footer;
+    ASSERT_TRUE(
+        Env::Default()->WriteStringToFile(path, Slice(old_layout)).ok());
+    rewritten++;
+  }
+  ASSERT_GT(rewritten, 0);
+
+  auto check_contents = [&]() {
+    for (const auto& [key, value] : model) {
+      std::string got;
+      ASSERT_TRUE(db_->Get(ReadOptions(), key, &got).ok()) << key;
+      EXPECT_EQ(got, value);
+    }
+    std::vector<std::pair<std::string, std::string>> rows;
+    ASSERT_TRUE(db_->Scan(ReadOptions(), "", 10000, &rows).ok());
+    const std::vector<std::pair<std::string, std::string>> expected(
+        model.begin(), model.end());
+    EXPECT_EQ(rows, expected);
+    // A scan starting inside one prefix runs on past it.
+    ASSERT_TRUE(db_->Scan(ReadOptions(), "grp03/", 100, &rows).ok());
+    ASSERT_EQ(rows.size(), 100u);
+    EXPECT_EQ(rows.back().first.substr(0, 5), "grp04");
+  };
+  Open();
+  check_contents();
+  ASSERT_TRUE(db_->CompactAll().ok());
+  EXPECT_TRUE(db_->VerifyIntegrity().ok());
+  check_contents();
 }
 
 }  // namespace

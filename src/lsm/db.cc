@@ -614,7 +614,7 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
 }
 
 Status DB::Scan(const ReadOptions& read_options, const Slice& start,
-                int count,
+                const Slice& limit, int count,
                 std::vector<std::pair<std::string, std::string>>* out) {
   out->clear();
   // No mu_: the skip list supports concurrent traversal while the
@@ -633,6 +633,7 @@ Status DB::Scan(const ReadOptions& read_options, const Slice& start,
                                /*skip_tombstones=*/true);
   iter->Seek(start);
   while (iter->Valid() && static_cast<int>(out->size()) < count) {
+    if (!limit.empty() && iter->key().Compare(limit) >= 0) break;
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     iter->Next();
   }
@@ -1244,6 +1245,15 @@ Status DB::VerifyIntegrity() {
     }
   }
   for (const auto& [meta, table] : snapshot) {
+    // Size-tiered bucketing and LevelBytes trust the manifest's size.
+    uint64_t file_size = 0;
+    APM_RETURN_IF_ERROR(env_->GetFileSize(TablePath(meta.number), &file_size));
+    if (file_size != meta.file_size) {
+      return Status::Corruption(
+          "table " + std::to_string(meta.number) + " is " +
+          std::to_string(file_size) + " bytes, manifest says " +
+          std::to_string(meta.file_size));
+    }
     ReadOptions read_options;
     read_options.fill_cache = false;
     auto iter = table->NewIterator(read_options);

@@ -145,9 +145,19 @@ class DB {
   Status Get(const ReadOptions& read_options, const Slice& key,
              std::string* value);
 
+  /// Collects up to `count` live records with start <= key < limit, in
+  /// key order. An empty `limit` means no upper bound. The merge stops at
+  /// the first key >= limit, so a caller that knows where its range ends
+  /// (a row read: the row's end) needs no count guess.
+  Status Scan(const ReadOptions& read_options, const Slice& start,
+              const Slice& limit, int count,
+              std::vector<std::pair<std::string, std::string>>* out);
+
   /// Collects up to `count` live records with key >= start, in key order.
   Status Scan(const ReadOptions& read_options, const Slice& start, int count,
-              std::vector<std::pair<std::string, std::string>>* out);
+              std::vector<std::pair<std::string, std::string>>* out) {
+    return Scan(read_options, start, Slice(), count, out);
+  }
 
   /// A point-in-time iterator over the whole database. The live memtable
   /// is copied at creation and the immutable memtable / SSTables are

@@ -526,7 +526,14 @@ Status Table::ReadBlock(uint64_t offset, uint32_t size,
       return Status::Corruption("block decompression failed");
     }
   } else if (type == CompressionType::kNone) {
-    data.assign(result.data(), size - 5);
+    if (result.data() == raw.data()) {
+      // The payload already sits in `raw`: trim the trailer and keep the
+      // buffer instead of copying the block a second time.
+      raw.resize(size - 5);
+      data = std::move(raw);
+    } else {
+      data.assign(result.data(), size - 5);
+    }
   } else {
     return Status::Corruption("unknown block compression type");
   }

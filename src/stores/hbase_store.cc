@@ -1,6 +1,7 @@
 #include "stores/hbase_store.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/clock.h"
 #include "common/coding.h"
@@ -11,7 +12,7 @@ namespace apmbench::stores {
 namespace {
 
 constexpr char kFamily[] = "f";
-/// Cells fetched per engine scan batch while assembling rows.
+/// Cells fetched per engine scan batch while assembling scanned rows.
 constexpr int kCellBatch = 256;
 
 /// HBase's on-disk KeyValue carries full framing around every cell:
@@ -47,6 +48,20 @@ bool DecodeCellValue(const Slice& cell_value, Slice* value) {
 /// `last_cell_key` with a NUL byte when a page ended exactly there.)
 std::string NextCellCursor(const std::string& last_cell_key) {
   return last_cell_key + '\0';
+}
+
+/// Fetches every cell of `row` with one scan bounded by the row's end, the
+/// way HBase's Get is a scan whose stop row is the row itself. Cell keys
+/// are row + '\0' + family + ':' + qualifier, so [row + '\0', row + '\x01')
+/// holds exactly this row's cells, however many there are.
+Status ScanRowCells(lsm::DB* db, const Slice& row,
+                    std::vector<std::pair<std::string, std::string>>* cells) {
+  std::string start = row.ToString();
+  start.push_back('\0');
+  std::string limit = row.ToString();
+  limit.push_back('\x01');
+  return db->Scan(lsm::ReadOptions(), Slice(start), Slice(limit),
+                  std::numeric_limits<int>::max(), cells);
 }
 
 /// Default pre-split sample: the YCSB key space ("user" + FNV-hashed
@@ -155,30 +170,15 @@ Status HBaseStore::Read(const std::string& table, const Slice& key,
   record->clear();
   int node = regions_.Route(key);
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::string prefix = key.ToString();
-  prefix.push_back('\0');
-  // Page through the row's cells: a wide row can span engine scan
-  // batches, and stopping after one batch would silently truncate it.
-  std::string scan_from = prefix;
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    bool past_row = false;
-    for (const auto& [cell_key, cell_value] : cells) {
-      if (!Slice(cell_key).StartsWith(Slice(prefix))) {
-        past_row = true;
-        break;
-      }
-      Slice row, qualifier, value;
-      if (!ParseCellKey(Slice(cell_key), &row, &qualifier) ||
-          !DecodeCellValue(Slice(cell_value), &value)) {
-        return Status::Corruption("bad cell");
-      }
-      record->emplace_back(qualifier.ToString(), value.ToString());
+  std::vector<std::pair<std::string, std::string>> cells;
+  APM_RETURN_IF_ERROR(ScanRowCells(db, key, &cells));
+  for (const auto& [cell_key, cell_value] : cells) {
+    Slice row, qualifier, value;
+    if (!ParseCellKey(Slice(cell_key), &row, &qualifier) ||
+        !DecodeCellValue(Slice(cell_value), &value)) {
+      return Status::Corruption("bad cell");
     }
-    if (past_row || static_cast<int>(cells.size()) < kCellBatch) break;
-    scan_from = NextCellCursor(cells.back().first);
+    record->emplace_back(qualifier.ToString(), value.ToString());
   }
   if (record->empty()) return Status::NotFound();
   return Status::OK();
@@ -191,23 +191,17 @@ Status HBaseStore::CollectRows(
   std::string scan_from = cursor;
   std::string current_row;
   ycsb::Record current_record;
+  // Row keys hold no '\0', so a cell key is below region_end exactly when
+  // its row is, and region_end bounds the cell scan; an empty region_end
+  // (the last region) is the scan's "no bound".
   for (;;) {
     std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    if (cells.empty()) break;
+    APM_RETURN_IF_ERROR(db->Scan(lsm::ReadOptions(), Slice(scan_from),
+                                 Slice(region_end), kCellBatch, &cells));
     for (const auto& [cell_key, cell_value] : cells) {
       Slice row, qualifier, value;
       if (!ParseCellKey(Slice(cell_key), &row, &qualifier)) {
         continue;  // not a cell (defensive)
-      }
-      if (!region_end.empty() && row.Compare(Slice(region_end)) >= 0) {
-        // Past this region: flush the open row and stop.
-        if (!current_row.empty() &&
-            static_cast<int>(rows->size()) < max_rows) {
-          rows->emplace_back(current_row, std::move(current_record));
-        }
-        return Status::OK();
       }
       if (row.ToView() != current_row) {
         if (!current_row.empty()) {
@@ -284,27 +278,12 @@ Status HBaseStore::Delete(const std::string& table, const Slice& key) {
   (void)table;
   int node = regions_.Route(key);
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::string prefix = key.ToString();
-  prefix.push_back('\0');
-  // Page like Read does: deleting only the first batch of a wide row
-  // would leave the tail behind and resurrect the row on the next read.
+  std::vector<std::pair<std::string, std::string>> cells;
+  APM_RETURN_IF_ERROR(ScanRowCells(db, key, &cells));
   lsm::WriteBatch batch;
-  std::string scan_from = prefix;
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(
-        db->Scan(lsm::ReadOptions(), Slice(scan_from), kCellBatch, &cells));
-    bool past_row = false;
-    for (const auto& [cell_key, cell_value] : cells) {
-      (void)cell_value;
-      if (!Slice(cell_key).StartsWith(Slice(prefix))) {
-        past_row = true;
-        break;
-      }
-      batch.Delete(Slice(cell_key));
-    }
-    if (past_row || static_cast<int>(cells.size()) < kCellBatch) break;
-    scan_from = NextCellCursor(cells.back().first);
+  for (const auto& [cell_key, cell_value] : cells) {
+    (void)cell_value;
+    batch.Delete(Slice(cell_key));
   }
   if (batch.Count() == 0) return Status::NotFound();
   return db->Write(batch);

@@ -154,6 +154,58 @@ TEST(Crc32Test, ExtendMatchesWhole) {
   EXPECT_EQ(Crc32cExtend(part, data + 9, 10), whole);
 }
 
+TEST(Crc32Test, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4 test patterns, checked on both the dispatched
+  // path (hardware on SSE4.2 CPUs) and the table loop.
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string ascending, descending;
+  for (int i = 0; i < 32; i++) {
+    ascending.push_back(static_cast<char>(i));
+    descending.push_back(static_cast<char>(31 - i));
+  }
+  const std::pair<const std::string*, uint32_t> cases[] = {
+      {&zeros, 0x8A9136AAu},
+      {&ones, 0x62A8AB43u},
+      {&ascending, 0x46DD794Eu},
+      {&descending, 0x113FDB5Cu},
+  };
+  for (const auto& [data, want] : cases) {
+    EXPECT_EQ(Crc32c(data->data(), data->size()), want);
+    EXPECT_EQ(Crc32cExtendPortable(0, data->data(), data->size()), want);
+  }
+}
+
+TEST(Crc32Test, DispatchedMatchesTableAtEveryLengthAndAlignment) {
+  Random rnd(301);
+  std::string buf(4100 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t n = 0; n <= 4100; n++) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, n), Crc32cExtendPortable(0, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ExtendMatchesWholeAtEverySplit) {
+  Random rnd(302);
+  std::string buf(1000, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    ASSERT_EQ(Crc32cExtend(head, buf.data() + split, buf.size() - split),
+              whole)
+        << "split " << split;
+    ASSERT_EQ(Crc32cExtendPortable(Crc32cExtendPortable(0, buf.data(), split),
+                                   buf.data() + split, buf.size() - split),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST(Crc32Test, MaskRoundTrip) {
   uint32_t crc = Crc32c("payload", 7);
   EXPECT_NE(MaskCrc(crc), crc);

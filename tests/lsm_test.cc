@@ -865,6 +865,92 @@ TEST_F(DBTest, ScanMergesAllSources) {
   EXPECT_EQ(out[4].first, "key8");
 }
 
+TEST_F(DBTest, BoundedScanStopsBeforeLimit) {
+  Open();
+  for (int i = 0; i < 10; i++) {
+    ASSERT_TRUE(
+        db_->Put("key" + std::to_string(i), "flushed" + std::to_string(i))
+            .ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  // Newer memtable versions and tombstones beside the flushed table.
+  ASSERT_TRUE(db_->Put("key3", "updated3").ok());
+  ASSERT_TRUE(db_->Delete("key5").ok());
+  ASSERT_TRUE(db_->Put("key7", "updated7").ok());
+  ASSERT_TRUE(db_->Delete("key8").ok());
+
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  Rows out;
+  // The bound is exclusive: key6 exists but is not returned.
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key3", "key6", 100, &out).ok());
+  EXPECT_EQ(out, (Rows{{"key3", "updated3"}, {"key4", "flushed4"}}));
+
+  // A key with a memtable and a table version yields the newest, once.
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key7", "key8", 100, &out).ok());
+  EXPECT_EQ(out, (Rows{{"key7", "updated7"}}));
+
+  // Tombstones inside the range hide their keys up to the bound.
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key5", "key6", 100, &out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key8", "key9", 100, &out).ok());
+  EXPECT_TRUE(out.empty());
+
+  // count still caps a bounded scan.
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key0", "key9", 2, &out).ok());
+  EXPECT_EQ(out, (Rows{{"key0", "flushed0"}, {"key1", "flushed1"}}));
+
+  // An empty bound means no bound.
+  Rows unbounded;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key3", Slice(), 100, &out).ok());
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key3", 100, &unbounded).ok());
+  EXPECT_EQ(out, unbounded);
+  EXPECT_EQ(out.size(), 5u);  // key3 key4 key6 key7 key9
+
+  // A bound at or below start returns nothing.
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key5", "key2", 100, &out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(db_->Scan(ReadOptions(), "key4", "key4", 100, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST_F(DBTest, VerifyIntegrityComparesTableSizeWithManifest) {
+  Open();
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db_->Put("key" + std::to_string(i), "value").ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->VerifyIntegrity().ok());
+
+  std::vector<std::string> children;
+  ASSERT_TRUE(Env::Default()->GetChildren(dir_.path(), &children).ok());
+  std::string name;
+  for (const std::string& child : children) {
+    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
+      name = child;
+    }
+  }
+  ASSERT_FALSE(name.empty());
+  const std::string path = dir_.path() + "/" + name;
+  std::string data;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
+  const size_t manifest_size = data.size();
+  data.append(7, 'x');
+  ASSERT_TRUE(Env::Default()->WriteStringToFile(path, Slice(data)).ok());
+
+  Status s = db_->VerifyIntegrity();
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  const uint64_t number = std::stoull(name.substr(0, name.size() - 4));
+  const std::string msg = s.ToString();
+  EXPECT_NE(msg.find("table " + std::to_string(number) + " "),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find(std::to_string(manifest_size + 7)), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("manifest says " + std::to_string(manifest_size)),
+            std::string::npos)
+      << msg;
+}
+
 TEST_F(DBTest, RecoversFromWal) {
   Open();
   ASSERT_TRUE(db_->Put("persist1", "a").ok());

@@ -172,8 +172,10 @@ TEST(HBaseStoreTest, CellKeyRoundTrip) {
 }
 
 // --- kCellBatch boundary regressions ---------------------------------------
-// The store assembles rows from the LSM engine in fixed 256-cell scan
-// pages; these pin the exact-page-edge behavior of Read/Delete/ScanKeyed.
+// Read and Delete fetch a row with one scan bounded by the row's end;
+// ScanKeyed assembles rows from fixed 256-cell scan pages. These pin that
+// a row wider than a page reads and deletes whole, and the exact-page-edge
+// behavior of ScanKeyed.
 
 TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   ScopedTempDir dir("hbase-wide");
@@ -193,7 +195,7 @@ TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   }
   ASSERT_TRUE(store->Insert("t", "wide-row", record).ok());
 
-  // Read must page past the first 256 cells instead of truncating.
+  // Read must return every cell, not the first scan page's worth.
   ycsb::Record got;
   ASSERT_TRUE(store->Read("t", "wide-row", &got).ok());
   ASSERT_EQ(got.size(), record.size());
@@ -202,8 +204,7 @@ TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
     EXPECT_EQ(by_field[field], value) << field;
   }
 
-  // Delete must remove every cell; deleting only the first page leaves
-  // the tail behind and resurrects the row.
+  // Delete must remove every cell; leaving any behind resurrects the row.
   ASSERT_TRUE(store->Delete("t", "wide-row").ok());
   EXPECT_TRUE(store->Read("t", "wide-row", &got).IsNotFound());
 }
@@ -244,6 +245,87 @@ TEST(HBaseStoreTest, ScanResumesExactlyAtCellBatchEdge) {
   // ...and the edge row keeps both cells.
   EXPECT_EQ(out.back().key, "b-edge");
   EXPECT_EQ(out.back().record.size(), 2u);
+}
+
+TEST(HBaseStoreTest, ReadReturnsOnlyItsOwnRowBesideNeighbours) {
+  ScopedTempDir dir("hbase-neighbours");
+  StoreOptions options;
+  options.base_dir = dir.path();
+  options.num_nodes = 1;
+  options.regions_per_server = 1;
+  options.memtable_bytes = 8 * 1024;  // filler rows flush to tables
+  std::unique_ptr<HBaseStore> store;
+  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+
+  // user1x and user10 sort right after user1 and share its prefix; some
+  // of their cells sit in tables, some in the memtable.
+  ycsb::Record wide = MakeRecord(2);
+  wide.emplace_back("extra", "x");
+  ASSERT_TRUE(store->Insert("t", "user1x", wide).ok());
+  ASSERT_TRUE(store->Insert("t", "user10", MakeRecord(3)).ok());
+  for (int i = 0; i < 200; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "filler%03d", i);
+    ASSERT_TRUE(store->Insert("t", key, MakeRecord(i)).ok());
+  }
+  ASSERT_TRUE(store->Insert("t", "user1", MakeRecord(1)).ok());
+  ASSERT_TRUE(store->Update("t", "user10", MakeRecord(4)).ok());
+
+  ycsb::Record got;
+  ASSERT_TRUE(store->Read("t", "user1", &got).ok());
+  EXPECT_EQ(got, MakeRecord(1));
+  ASSERT_TRUE(store->Read("t", "user10", &got).ok());
+  EXPECT_EQ(got, MakeRecord(4));
+  EXPECT_TRUE(store->Read("t", "user", &got).IsNotFound());
+
+  // Deleting user1 leaves both neighbours whole.
+  ASSERT_TRUE(store->Delete("t", "user1").ok());
+  EXPECT_TRUE(store->Read("t", "user1", &got).IsNotFound());
+  ASSERT_TRUE(store->Read("t", "user1x", &got).ok());
+  EXPECT_EQ(got.size(), wide.size());
+  ASSERT_TRUE(store->Read("t", "user10", &got).ok());
+  EXPECT_EQ(got, MakeRecord(4));
+  EXPECT_TRUE(store->Delete("t", "user1").IsNotFound());
+}
+
+TEST(HBaseStoreTest, LastRegionRowReadsAndDeletes) {
+  ScopedTempDir dir("hbase-last-region");
+  StoreOptions options;
+  options.base_dir = dir.path();
+  options.num_nodes = 2;
+  options.regions_per_server = 2;
+  // Every boundary comes from the sample, so keys above "t" land in the
+  // last region, whose end key is empty.
+  options.region_split_sample = {"a", "g", "n", "t"};
+  std::unique_ptr<HBaseStore> store;
+  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+
+  ASSERT_TRUE(store->Insert("t", "0first", MakeRecord(0)).ok());
+  ASSERT_TRUE(store->Insert("t", "zz1", MakeRecord(1)).ok());
+  ASSERT_TRUE(store->Insert("t", "zz10", MakeRecord(2)).ok());
+  ASSERT_TRUE(store->Insert("t", "zz1x", MakeRecord(3)).ok());
+
+  ycsb::Record got;
+  ASSERT_TRUE(store->Read("t", "zz1", &got).ok());
+  EXPECT_EQ(got, MakeRecord(1));
+
+  std::vector<ycsb::KeyedRecord> out;
+  ASSERT_TRUE(store->ScanKeyed("t", "0", 10, &out).ok());
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].key, "0first");
+  EXPECT_EQ(out[1].key, "zz1");
+  EXPECT_EQ(out[2].key, "zz10");
+  EXPECT_EQ(out[3].key, "zz1x");
+  for (const auto& row : out) EXPECT_EQ(row.record.size(), 5u) << row.key;
+
+  ASSERT_TRUE(store->Delete("t", "zz1").ok());
+  EXPECT_TRUE(store->Read("t", "zz1", &got).IsNotFound());
+  ASSERT_TRUE(store->Read("t", "zz10", &got).ok());
+  EXPECT_EQ(got, MakeRecord(2));
+  ASSERT_TRUE(store->ScanKeyed("t", "zz", 10, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].key, "zz10");
+  EXPECT_EQ(out[1].key, "zz1x");
 }
 
 TEST(HBaseStoreTest, PerCellStorageInflatesDisk) {

@@ -160,8 +160,15 @@ void DB::RefreshViewLocked() {
   view->mem = mem_;
   view->imm = imm_;
   view->tables.reserve(tables_.size());
-  for (const auto& [number, table] : tables_) {
-    view->tables.push_back(table);
+  for (int level = 0; level < versions_->NumLevels(); level++) {
+    for (const FileMeta& meta : versions_->files(level)) {
+      // Every file of the live version was opened before its edit was
+      // applied, so the lookup always succeeds.
+      auto it = tables_.find(meta.number);
+      if (it == tables_.end()) continue;
+      view->tables.push_back(
+          ReadView::TableRef{it->second, meta.smallest, meta.largest});
+    }
   }
   std::lock_guard<std::mutex> view_lock(view_mu_);
   view_ = std::move(view);
@@ -586,7 +593,6 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
     if (r == MemTable::GetResult::kFound) return Status::OK();
     if (r == MemTable::GetResult::kDeleted) return Status::NotFound();
   }
-  const std::vector<std::shared_ptr<Table>>& candidates = view->tables;
 
   // Search every table that may contain the key and keep the entry with
   // the highest sequence number: with size-tiered compaction, no total
@@ -595,11 +601,12 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
   bool found = false;
   bool deleted = false;
   std::string candidate_value;
-  for (const auto& table : candidates) {
+  for (const auto& ref : view->tables) {
     Table::GetResult result;
     uint64_t seq = 0;
     std::string v;
-    APM_RETURN_IF_ERROR(table->Get(read_options, key, &result, &v, &seq));
+    APM_RETURN_IF_ERROR(
+        ref.table->Get(read_options, key, &result, &v, &seq));
     if (result == Table::GetResult::kAbsent) continue;
     if (!found || seq > best_seq) {
       found = true;
@@ -613,10 +620,9 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
   return Status::OK();
 }
 
-Status DB::Scan(const ReadOptions& read_options, const Slice& start,
-                const Slice& limit, int count,
-                std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
+Status DB::Scan(
+    const ReadOptions& read_options, const Slice& start, const Slice& limit,
+    const std::function<bool(const Slice& key, const Slice& value)>& visit) {
   // No mu_: the skip list supports concurrent traversal while the
   // group-commit leader inserts, and the seq cap gives the whole scan one
   // consistent point-in-time view — so scans no longer block writers.
@@ -626,16 +632,17 @@ Status DB::Scan(const ReadOptions& read_options, const Slice& start,
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(view->mem->NewIterator(seq_limit));
   if (view->imm != nullptr) children.push_back(view->imm->NewIterator());
-  for (const auto& table : view->tables) {
-    children.push_back(table->NewIterator(read_options));
+  for (const auto& ref : view->tables) {
+    // A table wholly below start or at/above limit holds nothing in range;
+    // seeking it would still load a data block.
+    if (Slice(ref.largest).Compare(start) < 0) continue;
+    if (!limit.empty() && Slice(ref.smallest).Compare(limit) >= 0) continue;
+    children.push_back(ref.table->NewIterator(read_options));
   }
   auto iter = NewDedupIterator(NewMergingIterator(std::move(children)),
-                               /*skip_tombstones=*/true);
-  iter->Seek(start);
-  while (iter->Valid() && static_cast<int>(out->size()) < count) {
-    if (!limit.empty() && iter->key().Compare(limit) >= 0) break;
-    out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    iter->Next();
+                               /*skip_tombstones=*/true, limit);
+  for (iter->Seek(start); iter->Valid(); iter->Next()) {
+    if (!visit(iter->key(), iter->value())) break;
   }
   return iter->status();
 }
@@ -737,9 +744,9 @@ std::unique_ptr<Iterator> DB::NewSnapshotIterator(
       imm = view->imm;
       children.push_back(imm->NewIterator());
     }
-    for (const auto& table : view->tables) {
-      tables.push_back(table);
-      children.push_back(table->NewIterator(read_options));
+    for (const auto& ref : view->tables) {
+      tables.push_back(ref.table);
+      children.push_back(ref.table->NewIterator(read_options));
     }
   }
   auto merged = NewDedupIterator(NewMergingIterator(std::move(children)),

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -145,13 +146,32 @@ class DB {
   Status Get(const ReadOptions& read_options, const Slice& key,
              std::string* value);
 
+  /// Streams the live records with start <= key < limit to `visit`, in
+  /// key order, until `visit` returns false. An empty `limit` means no
+  /// upper bound. The merge stops at the first key >= limit, and tables
+  /// whose key range lies outside [start, limit) are never opened, so a
+  /// caller that knows where its range ends (a row read: the row's end)
+  /// needs no count guess. The slices passed to `visit` are valid only
+  /// during that call; copy them to keep them. `visit` runs on the
+  /// calling thread with no DB lock held.
+  Status Scan(const ReadOptions& read_options, const Slice& start,
+              const Slice& limit,
+              const std::function<bool(const Slice& key, const Slice& value)>&
+                  visit);
+
   /// Collects up to `count` live records with start <= key < limit, in
-  /// key order. An empty `limit` means no upper bound. The merge stops at
-  /// the first key >= limit, so a caller that knows where its range ends
-  /// (a row read: the row's end) needs no count guess.
+  /// key order.
   Status Scan(const ReadOptions& read_options, const Slice& start,
               const Slice& limit, int count,
-              std::vector<std::pair<std::string, std::string>>* out);
+              std::vector<std::pair<std::string, std::string>>* out) {
+    out->clear();
+    if (count <= 0) return Status::OK();
+    return Scan(read_options, start, limit,
+                [count, out](const Slice& key, const Slice& value) {
+                  out->emplace_back(key.ToString(), value.ToString());
+                  return static_cast<int>(out->size()) < count;
+                });
+  }
 
   /// Collects up to `count` live records with key >= start, in key order.
   Status Scan(const ReadOptions& read_options, const Slice& start, int count,
@@ -213,9 +233,16 @@ class DB {
   /// republishes it. shared_ptrs keep rotated memtables and compacted
   /// tables alive for readers still holding an old view.
   struct ReadView {
+    /// A live table with the key range the manifest records for it, so
+    /// a scan can skip tables that hold nothing in its range.
+    struct TableRef {
+      std::shared_ptr<Table> table;
+      std::string smallest;
+      std::string largest;
+    };
     std::shared_ptr<MemTable> mem;
     std::shared_ptr<MemTable> imm;  // null when none
-    std::vector<std::shared_ptr<Table>> tables;
+    std::vector<TableRef> tables;
   };
 
   explicit DB(const Options& options);
@@ -245,7 +272,8 @@ class DB {
   static void ApplyBatchRep(MemTable* mem, const Slice& rep,
                             uint64_t base_seq);
 
-  /// Republishes the reader view from mem_/imm_/tables_. Requires mu_.
+  /// Republishes the reader view from mem_/imm_ and the live version's
+  /// tables (with their manifest key ranges). Requires mu_.
   void RefreshViewLocked();
 
   /// Copies the current reader view under the view latch. Readers call

@@ -69,11 +69,17 @@ class MergingIterator final : public Iterator {
 };
 
 /// Collapses duplicate keys (keeping the first, i.e. newest, occurrence)
-/// and optionally hides tombstones.
+/// and optionally hides tombstones. The input stays positioned on the
+/// surviving entry, so value(), seq() and IsTombstone() come from it; the
+/// key is kept in last_key_ because shadowed duplicates are detected
+/// after the input has moved on.
 class DedupIterator final : public Iterator {
  public:
-  DedupIterator(std::unique_ptr<Iterator> input, bool skip_tombstones)
-      : input_(std::move(input)), skip_tombstones_(skip_tombstones) {}
+  DedupIterator(std::unique_ptr<Iterator> input, bool skip_tombstones,
+                const Slice& limit)
+      : input_(std::move(input)),
+        skip_tombstones_(skip_tombstones),
+        limit_(limit) {}
 
   bool Valid() const override { return valid_; }
 
@@ -94,15 +100,15 @@ class DedupIterator final : public Iterator {
     Settle();
   }
 
-  Slice key() const override { return Slice(key_); }
-  Slice value() const override { return Slice(value_); }
-  bool IsTombstone() const override { return tombstone_; }
-  uint64_t seq() const override { return seq_; }
+  Slice key() const override { return Slice(last_key_); }
+  Slice value() const override { return input_->value(); }
+  bool IsTombstone() const override { return input_->IsTombstone(); }
+  uint64_t seq() const override { return input_->seq(); }
   Status status() const override { return input_->status(); }
 
  private:
   /// Advances input_ past shadowed duplicates and (optionally) deleted
-  /// keys, capturing the surviving entry.
+  /// keys, stopping on the surviving entry or at the first key >= limit_.
   void Settle() {
     valid_ = false;
     while (input_->Valid()) {
@@ -111,6 +117,7 @@ class DedupIterator final : public Iterator {
         input_->Next();  // shadowed by a newer entry already emitted
         continue;
       }
+      if (!limit_.empty() && k.Compare(limit_) >= 0) return;
       // Newest entry for this key.
       last_key_.assign(k.data(), k.size());
       has_last_key_ = true;
@@ -118,10 +125,6 @@ class DedupIterator final : public Iterator {
         input_->Next();
         continue;
       }
-      key_ = last_key_;
-      value_.assign(input_->value().data(), input_->value().size());
-      tombstone_ = input_->IsTombstone();
-      seq_ = input_->seq();
       valid_ = true;
       return;
     }
@@ -129,13 +132,10 @@ class DedupIterator final : public Iterator {
 
   std::unique_ptr<Iterator> input_;
   bool skip_tombstones_;
+  Slice limit_;
   bool valid_ = false;
   bool has_last_key_ = false;
   std::string last_key_;
-  std::string key_;
-  std::string value_;
-  uint64_t seq_ = 0;
-  bool tombstone_ = false;
 };
 
 }  // namespace
@@ -146,8 +146,10 @@ std::unique_ptr<Iterator> NewMergingIterator(
 }
 
 std::unique_ptr<Iterator> NewDedupIterator(std::unique_ptr<Iterator> input,
-                                           bool skip_tombstones) {
-  return std::make_unique<DedupIterator>(std::move(input), skip_tombstones);
+                                           bool skip_tombstones,
+                                           const Slice& limit) {
+  return std::make_unique<DedupIterator>(std::move(input), skip_tombstones,
+                                         limit);
 }
 
 }  // namespace apmbench::lsm

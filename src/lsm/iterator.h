@@ -22,7 +22,10 @@ class Iterator {
   virtual void Seek(const Slice& target) = 0;
   virtual void Next() = 0;
 
-  /// Only valid while Valid() is true.
+  /// Only valid while Valid() is true. The returned slices point into the
+  /// iterator's (or its source's) current position and stay valid only
+  /// until the next positioning call (Seek, SeekToFirst or Next); copy
+  /// them to keep them.
   virtual Slice key() const = 0;
   virtual Slice value() const = 0;
   virtual bool IsTombstone() const = 0;
@@ -42,9 +45,14 @@ std::unique_ptr<Iterator> NewMergingIterator(
     std::vector<std::unique_ptr<Iterator>> children);
 
 /// Keeps only the newest entry of each key from a merging iterator and,
-/// when `skip_tombstones` is set, hides deleted keys.
+/// when `skip_tombstones` is set, hides deleted keys. A non-empty `limit`
+/// is an exclusive upper bound: the iterator becomes invalid at the first
+/// input key >= limit instead of walking on (through tombstones, say).
+/// `limit`'s bytes must outlive the iterator. Only the current key is
+/// copied; value() is read from the positioned input.
 std::unique_ptr<Iterator> NewDedupIterator(std::unique_ptr<Iterator> input,
-                                           bool skip_tombstones);
+                                           bool skip_tombstones,
+                                           const Slice& limit = Slice());
 
 }  // namespace apmbench::lsm
 

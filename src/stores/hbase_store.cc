@@ -1,7 +1,7 @@
 #include "stores/hbase_store.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 
 #include "common/clock.h"
 #include "common/coding.h"
@@ -12,8 +12,6 @@ namespace apmbench::stores {
 namespace {
 
 constexpr char kFamily[] = "f";
-/// Cells fetched per engine scan batch while assembling scanned rows.
-constexpr int kCellBatch = 256;
 
 /// HBase's on-disk KeyValue carries full framing around every cell:
 /// key length (4), value length (4), row length (2), family length (1),
@@ -42,26 +40,19 @@ bool DecodeCellValue(const Slice& cell_value, Slice* value) {
   return true;
 }
 
-/// Cursor for resuming a cell scan strictly after `last_cell_key`:
-/// appending the minimum byte yields the smallest key greater than it.
-/// (Appending '\x01' — the old cursor — skipped any cell key extending
-/// `last_cell_key` with a NUL byte when a page ended exactly there.)
-std::string NextCellCursor(const std::string& last_cell_key) {
-  return last_cell_key + '\0';
-}
-
-/// Fetches every cell of `row` with one scan bounded by the row's end, the
-/// way HBase's Get is a scan whose stop row is the row itself. Cell keys
-/// are row + '\0' + family + ':' + qualifier, so [row + '\0', row + '\x01')
-/// holds exactly this row's cells, however many there are.
-Status ScanRowCells(lsm::DB* db, const Slice& row,
-                    std::vector<std::pair<std::string, std::string>>* cells) {
+/// Streams every cell of `row` to `visit` with one scan bounded by the
+/// row's end, the way HBase's Get is a scan whose stop row is the row
+/// itself. Cell keys are row + '\0' + family + ':' + qualifier, so
+/// [row + '\0', row + '\x01') holds exactly this row's cells, however many
+/// there are.
+Status ScanRowCells(
+    lsm::DB* db, const Slice& row,
+    const std::function<bool(const Slice& key, const Slice& value)>& visit) {
   std::string start = row.ToString();
   start.push_back('\0');
   std::string limit = row.ToString();
   limit.push_back('\x01');
-  return db->Scan(lsm::ReadOptions(), Slice(start), Slice(limit),
-                  std::numeric_limits<int>::max(), cells);
+  return db->Scan(lsm::ReadOptions(), Slice(start), Slice(limit), visit);
 }
 
 /// Default pre-split sample: the YCSB key space ("user" + FNV-hashed
@@ -170,60 +161,56 @@ Status HBaseStore::Read(const std::string& table, const Slice& key,
   record->clear();
   int node = regions_.Route(key);
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::vector<std::pair<std::string, std::string>> cells;
-  APM_RETURN_IF_ERROR(ScanRowCells(db, key, &cells));
-  for (const auto& [cell_key, cell_value] : cells) {
-    Slice row, qualifier, value;
-    if (!ParseCellKey(Slice(cell_key), &row, &qualifier) ||
-        !DecodeCellValue(Slice(cell_value), &value)) {
-      return Status::Corruption("bad cell");
-    }
-    record->emplace_back(qualifier.ToString(), value.ToString());
-  }
+  bool corrupt = false;
+  APM_RETURN_IF_ERROR(ScanRowCells(
+      db, key, [&](const Slice& cell_key, const Slice& cell_value) {
+        Slice row, qualifier, value;
+        if (!ParseCellKey(cell_key, &row, &qualifier) ||
+            !DecodeCellValue(cell_value, &value)) {
+          corrupt = true;
+          return false;
+        }
+        record->emplace_back(qualifier.ToString(), value.ToString());
+        return true;
+      }));
+  if (corrupt) return Status::Corruption("bad cell");
   if (record->empty()) return Status::NotFound();
   return Status::OK();
 }
 
-Status HBaseStore::CollectRows(
-    int node, const std::string& cursor, const std::string& region_end,
-    int max_rows, std::vector<std::pair<std::string, ycsb::Record>>* rows) {
+Status HBaseStore::CollectRows(int node, const std::string& cursor,
+                               const std::string& region_end, int max_rows,
+                               std::vector<ycsb::KeyedRecord>* rows) {
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::string scan_from = cursor;
-  std::string current_row;
-  ycsb::Record current_record;
+  const size_t first = rows->size();
+  bool corrupt = false;
   // Row keys hold no '\0', so a cell key is below region_end exactly when
   // its row is, and region_end bounds the cell scan; an empty region_end
-  // (the last region) is the scan's "no bound".
-  for (;;) {
-    std::vector<std::pair<std::string, std::string>> cells;
-    APM_RETURN_IF_ERROR(db->Scan(lsm::ReadOptions(), Slice(scan_from),
-                                 Slice(region_end), kCellBatch, &cells));
-    for (const auto& [cell_key, cell_value] : cells) {
-      Slice row, qualifier, value;
-      if (!ParseCellKey(Slice(cell_key), &row, &qualifier)) {
-        continue;  // not a cell (defensive)
-      }
-      if (row.ToView() != current_row) {
-        if (!current_row.empty()) {
-          rows->emplace_back(current_row, std::move(current_record));
-          current_record = ycsb::Record();
-          if (static_cast<int>(rows->size()) >= max_rows) {
-            return Status::OK();
-          }
+  // (the last region) is the scan's "no bound". Each row is built in
+  // place at rows->back(); the scan stops at the first cell of the row
+  // after the max_rows-th.
+  APM_RETURN_IF_ERROR(db->Scan(
+      lsm::ReadOptions(), Slice(cursor), Slice(region_end),
+      [&](const Slice& cell_key, const Slice& cell_value) {
+        Slice row, qualifier, value;
+        if (!ParseCellKey(cell_key, &row, &qualifier)) {
+          return true;  // not a cell (defensive)
         }
-        current_row = row.ToString();
-      }
-      if (!DecodeCellValue(Slice(cell_value), &value)) {
-        return Status::Corruption("bad cell value");
-      }
-      current_record.emplace_back(qualifier.ToString(), value.ToString());
-    }
-    if (static_cast<int>(cells.size()) < kCellBatch) break;  // exhausted
-    scan_from = NextCellCursor(cells.back().first);
-  }
-  if (!current_row.empty() && static_cast<int>(rows->size()) < max_rows) {
-    rows->emplace_back(current_row, std::move(current_record));
-  }
+        if (rows->size() == first || Slice(rows->back().key) != row) {
+          if (rows->size() - first == static_cast<size_t>(max_rows)) {
+            return false;
+          }
+          rows->push_back(ycsb::KeyedRecord{row.ToString(), {}});
+        }
+        if (!DecodeCellValue(cell_value, &value)) {
+          corrupt = true;
+          return false;
+        }
+        rows->back().record.emplace_back(qualifier.ToString(),
+                                         value.ToString());
+        return true;
+      }));
+  if (corrupt) return Status::Corruption("bad cell value");
   return Status::OK();
 }
 
@@ -236,40 +223,37 @@ Status HBaseStore::ScanKeyed(const std::string& table,
   // regions can be scanned in parallel and concatenated in region order
   // — the parallel-scanner pattern of HBase clients. Each wave spans up
   // to one region per region server; most 50-record scans finish in the
-  // first wave's first region, the rest walk on wave by wave.
-  std::vector<std::pair<std::string, ycsb::Record>> rows;
+  // first wave's first region, which streams straight into `records`, and
+  // the rest walk on wave by wave.
   int region = regions_.RegionOf(start_key);
   std::string cursor = start_key.ToString();
-  while (static_cast<int>(rows.size()) < count &&
+  while (static_cast<int>(records->size()) < count &&
          region < regions_.num_regions()) {
     const int wave = std::min(regions_.num_regions() - region,
                               std::max(1, regions_.num_servers()));
-    std::vector<std::vector<std::pair<std::string, ycsb::Record>>> runs(
-        static_cast<size_t>(wave));
+    std::vector<std::vector<ycsb::KeyedRecord>> runs(
+        static_cast<size_t>(wave - 1));
     std::vector<FanoutExecutor::Task> tasks;
     tasks.reserve(static_cast<size_t>(wave));
-    const int want = count - static_cast<int>(rows.size());
+    const int want = count - static_cast<int>(records->size());
     for (int w = 0; w < wave; w++) {
       const int r = region + w;
       std::string from = w == 0 ? cursor : regions_.RegionEndKey(r - 1);
-      tasks.push_back([this, &runs, w, r, from = std::move(from), want]() {
+      std::vector<ycsb::KeyedRecord>* out = w == 0 ? records : &runs[w - 1];
+      tasks.push_back([this, out, r, from = std::move(from), want]() {
         return CollectRows(r % regions_.num_servers(), from,
-                           regions_.RegionEndKey(r), want, &runs[w]);
+                           regions_.RegionEndKey(r), want, out);
       });
     }
     APM_RETURN_IF_ERROR(fanout_.RunAll(std::move(tasks)));
     for (auto& run : runs) {
       for (auto& row : run) {
-        if (static_cast<int>(rows.size()) >= count) break;
-        rows.push_back(std::move(row));
+        if (static_cast<int>(records->size()) >= count) break;
+        records->push_back(std::move(row));
       }
     }
     region += wave;
     cursor = regions_.RegionEndKey(region - 1);
-  }
-  records->reserve(rows.size());
-  for (auto& [row, record] : rows) {
-    records->push_back(ycsb::KeyedRecord{row, std::move(record)});
   }
   return Status::OK();
 }
@@ -278,13 +262,12 @@ Status HBaseStore::Delete(const std::string& table, const Slice& key) {
   (void)table;
   int node = regions_.Route(key);
   lsm::DB* db = nodes_[static_cast<size_t>(node)].get();
-  std::vector<std::pair<std::string, std::string>> cells;
-  APM_RETURN_IF_ERROR(ScanRowCells(db, key, &cells));
   lsm::WriteBatch batch;
-  for (const auto& [cell_key, cell_value] : cells) {
-    (void)cell_value;
-    batch.Delete(Slice(cell_key));
-  }
+  APM_RETURN_IF_ERROR(
+      ScanRowCells(db, key, [&batch](const Slice& cell_key, const Slice&) {
+        batch.Delete(cell_key);
+        return true;
+      }));
   if (batch.Count() == 0) return Status::NotFound();
   return db->Write(batch);
 }

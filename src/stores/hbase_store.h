@@ -57,11 +57,12 @@ class HBaseStore final : public ycsb::DB {
  private:
   HBaseStore(const StoreOptions& options, cluster::RegionMap regions);
 
-  /// Collects whole rows from one node starting at `cursor`, stopping at
-  /// `region_end` (exclusive; empty = unbounded) or `max_rows`.
+  /// Appends up to `max_rows` whole rows from one node to `rows`, starting
+  /// at `cursor` and stopping at `region_end` (exclusive; empty =
+  /// unbounded), with one streamed engine scan.
   Status CollectRows(int node, const std::string& cursor,
                      const std::string& region_end, int max_rows,
-                     std::vector<std::pair<std::string, ycsb::Record>>* rows);
+                     std::vector<ycsb::KeyedRecord>* rows);
 
   StoreOptions options_;
   cluster::RegionMap regions_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -911,6 +912,178 @@ TEST_F(DBTest, BoundedScanStopsBeforeLimit) {
   EXPECT_TRUE(out.empty());
   ASSERT_TRUE(db_->Scan(ReadOptions(), "key4", "key4", 100, &out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+// A bounded scan reads only blocks that can hold keys in range: tables
+// wholly outside [start, limit) are never opened, and the merge stops at
+// the first key >= limit instead of walking on through tombstones. Cost
+// is counted in block-cache lookups (hits + misses).
+TEST_F(DBTest, BoundedScanReadsOnlyBlocksInRange) {
+  options_.memtable_bytes = 1 << 20;     // only explicit flushes
+  options_.size_tiered_min_files = 16;   // keep every flushed table apart
+  Open();
+  auto lookups = [this] {
+    DB::Stats stats = db_->GetStats();
+    return stats.cache_hits + stats.cache_misses;
+  };
+  auto key = [](char range, int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "%c%04d", range, i);
+    return std::string(buf);
+  };
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  Rows out;
+
+  // Four flushed tables holding the ranges a, b, c and d.
+  for (char range : {'a', 'b', 'c', 'd'}) {
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db_->Put(key(range, i), "value" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  uint64_t before = lookups();
+  ASSERT_TRUE(
+      db_->Scan(ReadOptions(), key('b', 50), key('b', 51), 100, &out).ok());
+  EXPECT_EQ(out, (Rows{{key('b', 50), "value50"}}));
+  // The b table's one block; tables a, c and d stay closed.
+  EXPECT_EQ(lookups() - before, 1u);
+
+  // 2000 keys deleted in a newer table, starting exactly at the bound.
+  // That table also holds one live key below the bound, so the merge must
+  // open it and stop at the first tombstone; the older table holding the
+  // deleted values lies wholly at the bound and stays closed.
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db_->Put(key('e', i), "doomed").ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db_->Delete(key('e', i)).ok());
+  }
+  ASSERT_TRUE(db_->Put(key('d', 100), "value100").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  before = lookups();
+  ASSERT_TRUE(
+      db_->Scan(ReadOptions(), key('d', 95), key('e', 0), 100, &out).ok());
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out.back(), (std::pair<std::string, std::string>(key('d', 100),
+                                                             "value100")));
+  // One block of the d table and one of the tombstone table.
+  EXPECT_EQ(lookups() - before, 2u);
+}
+
+// The streaming Scan over a DB holding a live memtable, an immutable
+// memtable (its flush held at a gate) and a table at once: the visitor
+// sees exactly what the vector form returns, newest versions only, and a
+// visitor that returns false after k entries is called exactly k times.
+TEST_F(DBTest, StreamingScanMatchesVectorFormAcrossAllSources) {
+  testutil::TableGateEnv env(Env::Default());
+  options_.env = &env;
+  options_.size_tiered_min_files = 16;
+  env.GateCreation(1);  // the immutable memtable's flush
+  env.gate()->Close();
+  Open();
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  std::map<std::string, std::string> model;
+  auto key = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%03d", i);
+    return std::string(buf);
+  };
+  auto put = [&](int i, const std::string& value) {
+    ASSERT_TRUE(db_->Put(key(i), value).ok());
+    model[key(i)] = value;
+  };
+  auto del = [&](int i) {
+    ASSERT_TRUE(db_->Delete(key(i)).ok());
+    model.erase(key(i));
+  };
+
+  for (int i = 0; i < 100; i++) put(i, "table" + std::to_string(i));
+  ASSERT_TRUE(db_->Flush().ok());
+
+  // Overwrite and delete table keys until the memtable rotates; the write
+  // that rotates it lands in the new live memtable.
+  const std::string pad(200, 'p');
+  uint64_t last_bytes = db_->GetStats().memtable_bytes;
+  for (int i = 0;; i++) {
+    ASSERT_LT(i, 1000) << "memtable never rotated";
+    if (i % 3 == 0) {
+      del(i % 100);
+    } else {
+      put(i % 100, "imm" + std::to_string(i) + pad);
+    }
+    const uint64_t bytes = db_->GetStats().memtable_bytes;
+    if (bytes < last_bytes) break;
+    last_bytes = bytes;
+  }
+  // Live memtable: shadow table and immutable versions (one key twice),
+  // delete a live key, and add keys past the table's range.
+  put(1, "live1-old");
+  put(1, "live1");
+  put(2, "live2");
+  del(4);
+  put(150, "live150");
+  put(151, "live151");
+  del(151);
+  // The immutable memtable's flush has its table open and is held there.
+  for (int i = 0; i < 100000 && env.gate()->blocked() == 0; i++) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_EQ(env.gate()->blocked(), 1);
+
+  auto stream = [&](const Slice& start, const Slice& limit, int stop_after,
+                    Rows* out) {
+    out->clear();
+    int calls = 0;
+    Status s = db_->Scan(ReadOptions(), start, limit,
+                         [&](const Slice& k, const Slice& v) {
+                           out->emplace_back(k.ToString(), v.ToString());
+                           return ++calls < stop_after;
+                         });
+    EXPECT_EQ(static_cast<int>(out->size()), calls);
+    return s;
+  };
+  auto expected = [&](const std::string& start, const std::string& limit) {
+    Rows rows;
+    for (auto it = model.lower_bound(start);
+         it != model.end() && (limit.empty() || it->first < limit); ++it) {
+      rows.emplace_back(it->first, it->second);
+    }
+    return rows;
+  };
+
+  const std::vector<std::pair<std::string, std::string>> ranges = {
+      {"", ""},
+      {key(0), key(10)},
+      {key(3), key(4)},
+      {key(4), key(5)},
+      {key(50), ""},
+      {key(99), key(151)},
+      {key(151), ""}};
+  for (const auto& [start, limit] : ranges) {
+    SCOPED_TRACE(start + ".." + limit);
+    Rows streamed, collected;
+    ASSERT_TRUE(stream(start, limit, INT32_MAX, &streamed).ok());
+    ASSERT_TRUE(
+        db_->Scan(ReadOptions(), start, limit, INT32_MAX, &collected).ok());
+    EXPECT_EQ(streamed, collected);
+    EXPECT_EQ(streamed, expected(start, limit));
+  }
+
+  const Rows all = expected("", "");
+  ASSERT_GT(all.size(), 10u);
+  for (int k : {1, 2, 7, static_cast<int>(all.size())}) {
+    SCOPED_TRACE(k);
+    Rows streamed;
+    ASSERT_TRUE(stream(Slice(), Slice(), k, &streamed).ok());
+    EXPECT_EQ(streamed, Rows(all.begin(), all.begin() + k));
+  }
+
+  env.gate()->Open();
+  ASSERT_TRUE(db_->Flush().ok());
+  Rows streamed;
+  ASSERT_TRUE(stream(Slice(), Slice(), INT32_MAX, &streamed).ok());
+  EXPECT_EQ(streamed, all);
 }
 
 TEST_F(DBTest, VerifyIntegrityComparesTableSizeWithManifest) {

@@ -171,11 +171,13 @@ TEST(HBaseStoreTest, CellKeyRoundTrip) {
   EXPECT_EQ(qualifier.ToString(), "field2");
 }
 
-// --- kCellBatch boundary regressions ---------------------------------------
-// Read and Delete fetch a row with one scan bounded by the row's end;
-// ScanKeyed assembles rows from fixed 256-cell scan pages. These pin that
-// a row wider than a page reads and deletes whole, and the exact-page-edge
-// behavior of ScanKeyed.
+// --- Wide rows and awkward cell keys ---------------------------------------
+// Read and Delete fetch a row with one scan bounded by the row's end, and
+// ScanKeyed streams each region's cells with one bounded scan. Rows were
+// once assembled from fixed 256-cell scan pages; these tests keep the
+// shapes that broke those pages: a row wider than 256 cells must read and
+// delete whole, and a cell key that extends its predecessor with a NUL
+// byte must not be skipped.
 
 TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   ScopedTempDir dir("hbase-wide");
@@ -186,7 +188,7 @@ TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   std::unique_ptr<HBaseStore> store;
   ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
 
-  // A row wider than one engine scan page (kCellBatch = 256 cells).
+  // A row of 300 cells, wider than the old 256-cell scan page.
   ycsb::Record record;
   for (int i = 0; i < 300; i++) {
     char q[16];
@@ -195,7 +197,7 @@ TEST(HBaseStoreTest, WideRowSurvivesCellBatchBoundary) {
   }
   ASSERT_TRUE(store->Insert("t", "wide-row", record).ok());
 
-  // Read must return every cell, not the first scan page's worth.
+  // Read must return every cell of the row.
   ycsb::Record got;
   ASSERT_TRUE(store->Read("t", "wide-row", &got).ok());
   ASSERT_EQ(got.size(), record.size());
@@ -219,10 +221,10 @@ TEST(HBaseStoreTest, ScanResumesExactlyAtCellBatchEdge) {
   ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
 
   // 51 filler rows x 5 cells = 255 cells, so the edge row's first cell is
-  // cell 256 — the last cell of scan page one — and its second cell (a
-  // qualifier extending the first with a NUL byte, the smallest possible
-  // successor key) opens page two. The old resume cursor (last key +
-  // '\x01') skipped exactly such cells, truncating the row.
+  // cell 256 and its second cell has a qualifier extending the first with
+  // a NUL byte, the smallest possible successor key. When scans ran in
+  // 256-cell pages, that second cell opened page two, and a resume cursor
+  // of last key + '\x01' skipped it, truncating the row.
   for (int i = 0; i < 51; i++) {
     char key[16];
     snprintf(key, sizeof(key), "a%02d", i);
@@ -236,8 +238,8 @@ TEST(HBaseStoreTest, ScanResumesExactlyAtCellBatchEdge) {
   std::vector<ycsb::KeyedRecord> out;
   ASSERT_TRUE(store->ScanKeyed("t", "a", 60, &out).ok());
   ASSERT_EQ(out.size(), 52u);
-  // Filler rows arrive whole and exactly once (no double-count at the
-  // page edge)...
+  // Filler rows arrive whole and exactly once (no double count at cell
+  // 256)...
   for (int i = 0; i < 51; i++) {
     EXPECT_EQ(out[static_cast<size_t>(i)].record.size(), 5u)
         << out[static_cast<size_t>(i)].key;
@@ -245,6 +247,91 @@ TEST(HBaseStoreTest, ScanResumesExactlyAtCellBatchEdge) {
   // ...and the edge row keeps both cells.
   EXPECT_EQ(out.back().key, "b-edge");
   EXPECT_EQ(out.back().record.size(), 2u);
+}
+
+TEST(HBaseStoreTest, ScanKeyedStopsExactlyOnARowEdge) {
+  ScopedTempDir dir("hbase-row-edge");
+  StoreOptions options;
+  options.base_dir = dir.path();
+  options.num_nodes = 1;
+  options.regions_per_server = 1;
+  options.memtable_bytes = 8 * 1024;  // early rows flush to tables
+  std::unique_ptr<HBaseStore> store;
+  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+  for (int i = 0; i < 40; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "row%02d", i);
+    ASSERT_TRUE(store->Insert("t", key, MakeRecord(i)).ok());
+  }
+
+  // The scan stops at the first cell of row 10: rows 0..9 arrive whole,
+  // and none of row 10's cells is consumed or leaks into row 9.
+  std::vector<ycsb::KeyedRecord> out;
+  ASSERT_TRUE(store->ScanKeyed("t", "row00", 10, &out).ok());
+  ASSERT_EQ(out.size(), 10u);
+  for (int i = 0; i < 10; i++) {
+    const auto& row = out[static_cast<size_t>(i)];
+    EXPECT_EQ(row.key, "row0" + std::to_string(i));
+    EXPECT_EQ(row.record, MakeRecord(i)) << row.key;
+  }
+  // Resuming at the next row picks it up whole.
+  ASSERT_TRUE(store->ScanKeyed("t", "row10", 1, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].key, "row10");
+  EXPECT_EQ(out[0].record, MakeRecord(10));
+  // A count equal to the rows left ends on the data's last row edge.
+  ASSERT_TRUE(store->ScanKeyed("t", "row35", 5, &out).ok());
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out.back().key, "row39");
+  EXPECT_EQ(out.back().record, MakeRecord(39));
+}
+
+// Scans that start in one region and run on through the next ones, with
+// waves of parallel regions (2 servers) and one region per wave (1
+// server): every row arrives whole, once, in key order.
+TEST(HBaseStoreTest, ScanKeyedCrossesRegionBoundariesOnce) {
+  for (int servers : {1, 2}) {
+    SCOPED_TRACE(servers);
+    ScopedTempDir dir("hbase-regions");
+    StoreOptions options;
+    options.base_dir = dir.path();
+    options.num_nodes = servers;
+    options.regions_per_server = 4 / servers;
+    options.memtable_bytes = 8 * 1024;
+    options.region_split_sample = {"a", "g", "n", "t"};
+    std::unique_ptr<HBaseStore> store;
+    ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+    ASSERT_EQ(store->regions().num_regions(), 4);
+
+    std::map<std::string, ycsb::Record> model;
+    int tag = 0;
+    for (char c : std::string("bdfghjlmnoprstvxz")) {
+      for (int i = 0; i < 3; i++) {
+        std::string key = std::string(1, c) + std::to_string(i);
+        ycsb::Record record = MakeRecord(tag);
+        if (tag % 4 == 0) record.emplace_back("wide", std::string(300, 'w'));
+        tag++;
+        ASSERT_TRUE(store->Insert("t", key, record).ok());
+        model[key] = record;
+      }
+    }
+    for (const std::string start : {"", "b", "f2", "g", "m1", "s", "z2"}) {
+      for (int count : {1, 3, 7, 20, 100}) {
+        SCOPED_TRACE(start + " x" + std::to_string(count));
+        std::vector<ycsb::KeyedRecord> out;
+        ASSERT_TRUE(store->ScanKeyed("t", start, count, &out).ok());
+        auto it = model.lower_bound(start);
+        size_t n = 0;
+        for (; it != model.end() && n < static_cast<size_t>(count);
+             ++it, ++n) {
+          ASSERT_LT(n, out.size());
+          EXPECT_EQ(out[n].key, it->first);
+          EXPECT_EQ(out[n].record, it->second) << it->first;
+        }
+        EXPECT_EQ(out.size(), n);
+      }
+    }
+  }
 }
 
 TEST(HBaseStoreTest, ReadReturnsOnlyItsOwnRowBesideNeighbours) {

@@ -1,6 +1,7 @@
 #ifndef APMBENCH_COMMON_GROUP_COMMIT_H_
 #define APMBENCH_COMMON_GROUP_COMMIT_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -12,6 +13,97 @@
 #include "common/status.h"
 
 namespace apmbench {
+
+/// The group-commit queue shared by the LSM writer path and
+/// GroupCommitLog. Threads join as members of a FIFO; the front member is
+/// the leader. The leader picks its group, a prefix of the members queued
+/// at that moment (Gather), does the group's work, and completes it
+/// (Complete): every member of the group gets the leader's status, and the
+/// next member becomes leader. One group is in flight at a time.
+///
+/// A waiting member spins on its own slot for up to kSpinMicros, since a
+/// leader's hold is often a few µs, and only then blocks on its own
+/// condition variable. It spins only if it joined a queue of at most as
+/// many members (itself included) as the host has hardware threads;
+/// deeper in the queue it blocks at once, so the leader and the
+/// spinners never outnumber the cores. Complete wakes exactly the members it completes plus the
+/// next leader; nobody else is woken.
+class CommitQueue {
+ public:
+  /// How long a queued member spins before it blocks.
+  static constexpr int64_t kSpinMicros = 50;
+
+  class Member {
+   public:
+    explicit Member(const void* arg = nullptr) : arg(arg) {}
+    Member(const Member&) = delete;
+    Member& operator=(const Member&) = delete;
+
+    /// The caller's payload: what the leader needs to commit this member.
+    const void* const arg;
+    /// Set by the leader that completes this member.
+    Status status;
+
+   private:
+    friend class CommitQueue;
+    std::atomic<uint32_t> state_{0};  // kWaiting/kBlocked/kLeader/kDone
+    Member* next_ = nullptr;          // guarded by CommitQueue::mu_
+    std::mutex mu_;
+    std::condition_variable cv_;
+  };
+
+  CommitQueue();
+  CommitQueue(const CommitQueue&) = delete;
+  CommitQueue& operator=(const CommitQueue&) = delete;
+
+  /// Appends `m` and waits until it leads (returns true; the caller must
+  /// Gather and Complete a group) or a leader completed it (returns false;
+  /// `m->status` holds the group's status). A member joining an empty
+  /// queue leads at once, without waiting.
+  bool Join(Member* m);
+
+  /// Leader only. Offers `take` each member queued behind `leader` right
+  /// now, in order, and stops at the first one it refuses. Returns the
+  /// last member of the group (`leader` itself if none was taken).
+  template <typename Take>
+  Member* Gather(Member* leader, Take&& take) {
+    Member* back;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      back = tail_;
+    }
+    // Every link up to `back` was written before `back` was read under
+    // mu_, and none changes until this group completes.
+    Member* last = leader;
+    while (last != back && take(last->next_)) last = last->next_;
+    return last;
+  }
+
+  /// Leader only. Completes the group `leader`..`last` with `status`,
+  /// wakes each member of it, then makes the next member the leader.
+  void Complete(Member* leader, Member* last, const Status& status);
+
+  /// Members queued now, the leader included.
+  uint64_t size() const;
+
+  /// Members that blocked: they used up their spin, or joined too deep
+  /// in the queue to spin at all.
+  uint64_t blocked_waits() const {
+    return blocked_waits_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  /// Spins (if `spin`), then blocks, until a leader completes or
+  /// promotes `m`; returns the state it set.
+  uint32_t Wait(Member* m, bool spin);
+  static void Wake(Member* m, uint32_t state);
+
+  const uint64_t spin_limit_;  // hardware threads: deepest spinning member
+  mutable std::mutex mu_;
+  Member* tail_ = nullptr;  // newest member; null when the queue is empty
+  uint64_t size_ = 0;
+  std::atomic<uint64_t> blocked_waits_{0};
+};
 
 /// Group-committed append log: many threads append framed records, one
 /// leader drains everything queued and issues a single WritableFile::Append
@@ -29,6 +121,10 @@ namespace apmbench {
 ///    append under this class's short internal mutex), drop the lock, and
 ///    Commit outside it so the I/O never blocks readers or other writers'
 ///    in-memory work.
+///
+/// Commit and Sync join a CommitQueue. Its leader drains every staged
+/// record once and completes every member queued at that moment: each of
+/// them staged its record before joining, so the drain covers them all.
 ///
 /// Errors are sticky: once an Append/Flush/Sync fails, every subsequent
 /// commit fails with the same status (the caller's engine is expected to
@@ -70,22 +166,35 @@ class GroupCommitLog {
     uint64_t appends = 0;        // records enqueued
     uint64_t groups = 0;         // leader I/O rounds
     uint64_t synced_groups = 0;  // rounds that ended in an fsync
+    uint64_t blocked_waits = 0;  // commits that blocked (CommitQueue)
   };
   Stats GetStats() const;
 
  private:
-  // Requires mu_ held; drains pending_ as leader until `ticket` durable.
-  Status CommitLocked(Ticket ticket, std::unique_lock<std::mutex>& lock);
+  /// What a queue member asks of the leader's round.
+  struct Request {
+    Ticket ticket;
+    bool force_sync;  // Sync/Close: fsync even if nothing is staged
+    bool close;       // Close: close the file after the round
+  };
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unique_ptr<WritableFile> file_;
+  /// Joins the queue with `request` and returns its group's status.
+  Status Submit(const Request& request);
+
+  /// The leader's I/O round: writes every staged record once, then
+  /// flushes or fsyncs (fsync if `force_sync` or any record asked for
+  /// it). Skipped when nothing up to `need` is outstanding and no fsync
+  /// is forced.
+  Status LeadRound(Ticket need, bool force_sync, bool close);
+
+  CommitQueue queue_;
+  std::unique_ptr<WritableFile> file_;  // touched only by the leader
   const uint64_t initial_size_;  // file size when the log was opened
+  mutable std::mutex mu_;  // guards everything below, never held over I/O
   std::string pending_;        // staged records not yet written
   bool pending_sync_ = false;  // someone in pending_ wants fsync
   uint64_t enqueued_ = 0;      // total bytes ever enqueued
   uint64_t committed_ = 0;     // total bytes durable per their sync flag
-  bool leader_active_ = false;
   bool closed_ = false;
   Status error_;  // sticky
   Stats stats_;

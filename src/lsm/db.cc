@@ -299,17 +299,23 @@ Status DB::ReplayWals() {
 
 Status DB::Close() {
   {
+    // Drain in-flight write groups: once this member leads the writer
+    // queue, every group queued before it is complete (a leader appends
+    // to the WAL outside mu_, and the WAL is synced/closed below), and
+    // every later leader finds closed_ and fails its group.
+    CommitQueue::Member self;
+    write_queue_.Join(&self);
     std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return close_status_;
+    const bool already_closed = closed_;
     closed_ = true;
-    // Drain in-flight write groups: a leader may be appending to the WAL
-    // outside mu_, and the WAL is synced/closed below.
-    while (!writers_.empty()) cv_.wait(lock);
+    write_queue_.Complete(&self, &self, Status::OK());
+    if (already_closed) return close_status_;
     // Drain any pending flush first: the immutable memtable's WAL was
     // closed without a sync at rotation, so until the flush lands in a
     // synced SSTable those acknowledged writes are only in page cache.
     while (imm_ != nullptr && bg_error_.ok()) cv_.wait(lock);
     shutting_down_ = true;
+    flush_cv_.notify_one();
     cv_.notify_all();
     compaction_cv_.notify_all();
   }
@@ -361,7 +367,7 @@ Status DB::MakeRoomForWrite(std::unique_lock<std::mutex>* lock) {
         (options_.level0_stop_trigger == 0 ||
          l0_files < options_.level0_stop_trigger)) {
       allow_delay = false;
-      compaction_cv_.notify_all();
+      compaction_cv_.notify_one();
       const uint64_t start = NowMicros();
       lock->unlock();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -387,43 +393,47 @@ Status DB::MakeRoomForWrite(std::unique_lock<std::mutex>* lock) {
         counted_stop = true;
         stall_stop_writes_++;
       }
-      compaction_cv_.notify_all();
+      compaction_cv_.notify_one();
       const uint64_t start = NowMicros();
       cv_.wait(*lock);
       stall_stop_micros_ += NowMicros() - start;
       continue;
     }
-    // Rotate memtable and WAL.
-    uint64_t new_wal_number = versions_->NewFileNumber();
-    std::unique_ptr<WritableFile> wal_file;
-    Status s = env_->NewWritableFile(WalPath(new_wal_number), &wal_file);
-    if (s.ok() && options_.sync_writes) {
-      s = env_->SyncDir(options_.dir);
-    }
-    if (!s.ok()) {
-      // A failed rotation leaves half-rotated state (a fresh file number,
-      // possibly a created-but-unusable segment); letting the next writer
-      // retry against it risks interleaving two generations of the log.
-      // Fence exactly like the wal_->Close() failure below.
-      if (bg_error_.ok()) bg_error_ = s;
-      return s;
-    }
-    Status close_status = wal_->Close();
-    if (!close_status.ok()) {
-      // The rotating WAL holds acknowledged records; if its tail never
-      // reached the OS, a crash before the memtable flush lands would
-      // lose them. Fail the write and stop accepting new ones.
-      bg_error_ = close_status;
-      return close_status;
-    }
-    wal_ = std::make_unique<LogWriter>(std::move(wal_file));
-    imm_ = std::move(mem_);
-    imm_wal_number_ = wal_number_;
-    wal_number_ = new_wal_number;
-    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
-    RefreshViewLocked();
-    cv_.notify_all();
+    APM_RETURN_IF_ERROR(RotateMemTableLocked());
   }
+  return Status::OK();
+}
+
+Status DB::RotateMemTableLocked() {
+  uint64_t new_wal_number = versions_->NewFileNumber();
+  std::unique_ptr<WritableFile> wal_file;
+  Status s = env_->NewWritableFile(WalPath(new_wal_number), &wal_file);
+  if (s.ok() && options_.sync_writes) {
+    s = env_->SyncDir(options_.dir);
+  }
+  if (!s.ok()) {
+    // A failed rotation leaves half-rotated state (a fresh file number,
+    // possibly a created-but-unusable segment); letting the next writer
+    // retry against it risks interleaving two generations of the log.
+    // Fence exactly like the wal_->Close() failure below.
+    if (bg_error_.ok()) bg_error_ = s;
+    return s;
+  }
+  s = wal_->Close();
+  if (!s.ok()) {
+    // The rotating WAL holds acknowledged records; if its tail never
+    // reached the OS, a crash before the memtable flush lands would
+    // lose them. Fail the write and stop accepting new ones.
+    if (bg_error_.ok()) bg_error_ = s;
+    return s;
+  }
+  wal_ = std::make_unique<LogWriter>(std::move(wal_file));
+  imm_ = std::move(mem_);
+  imm_wal_number_ = wal_number_;
+  wal_number_ = new_wal_number;
+  mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
+  RefreshViewLocked();
+  flush_cv_.notify_one();
   return Status::OK();
 }
 
@@ -487,43 +497,41 @@ Status DB::Write(const WriteBatch& batch) {
   // and replayed on recovery.
   APM_RETURN_IF_ERROR(ValidateBatch(batch));
 
-  Writer w(&batch);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return Status::IOError("db closed");
-  writers_.push_back(&w);
-  while (!w.done && &w != writers_.front()) w.cv.wait(lock);
-  if (w.done) return w.status;  // a leader committed this batch for us
+  CommitQueue::Member self(&batch);
+  if (!write_queue_.Join(&self)) return self.status;  // a leader did it
 
-  // This thread is the leader: it stays at the front of the queue until
-  // it pops its whole group below, so no other thread touches the WAL
-  // meanwhile and at most one group is ever in flight against the
-  // memtable.
-  Status s = MakeRoomForWrite(&lock);
-  Writer* last_writer = &w;
+  // This thread leads the writer queue: no other group is in flight until
+  // it completes its own below, so no other thread touches the WAL
+  // meanwhile and at most one group is ever applied to the memtable.
+  std::unique_lock<std::mutex> lock(mu_);
+  Status s = closed_ ? Status::IOError("db closed") : MakeRoomForWrite(&lock);
+  CommitQueue::Member* last = &self;
   if (s.ok()) {
-    // Merge every queued batch (bounded, to keep follower latency sane)
-    // into one rep covering contiguous sequence numbers.
+    // Merge the queued batches (bounded, to keep follower latency sane)
+    // into one rep covering contiguous sequence numbers. A Flush or Close
+    // member carries no batch and leads on its own.
     constexpr size_t kMaxGroupBytes = 1 << 20;
-    const uint64_t base_seq = versions_->last_seq() + 1;
-    std::string group_rep;
-    size_t group_count = 0;
-    size_t group_writers = 0;
-    for (Writer* candidate : writers_) {
-      if (candidate != &w &&
-          group_rep.size() + candidate->batch->rep_.size() > kMaxGroupBytes) {
-        break;
+    std::string group_rep = batch.rep_;
+    size_t group_count = batch.Count();
+    size_t group_writers = 1;
+    last = write_queue_.Gather(&self, [&](CommitQueue::Member* m) {
+      const auto* queued = static_cast<const WriteBatch*>(m->arg);
+      if (queued == nullptr ||
+          group_rep.size() + queued->rep_.size() > kMaxGroupBytes) {
+        return false;
       }
-      group_rep.append(candidate->batch->rep_);
-      group_count += candidate->batch->Count();
+      group_rep.append(queued->rep_);
+      group_count += queued->Count();
       group_writers++;
-      last_writer = candidate;
-    }
-    versions_->set_last_seq(base_seq + group_count - 1);
+      return true;
+    });
+    const uint64_t base_seq = versions_->last_seq() + 1;
+    const uint64_t last_seq = base_seq + group_count - 1;
+    versions_->set_last_seq(last_seq);
     std::string record;
     EncodeWalRecord(&record, base_seq, kWalBatch, Slice(), Slice(group_rep));
     MemTable* mem = mem_.get();
     LogWriter* wal = wal_.get();
-    const uint64_t last_seq = base_seq + group_count - 1;
 
     // The expensive part — one WAL append (and at most one fsync) for the
     // whole group, plus the memtable inserts — runs outside mu_. Readers
@@ -539,7 +547,7 @@ Status DB::Write(const WriteBatch& batch) {
       // cap their memtable visibility at applied_seq_, which keeps both
       // batches and whole groups atomic under concurrent Get/Scan. WAL
       // order == seq order == publication order, since the next leader
-      // cannot start until this group is popped below.
+      // cannot start until this group completes below.
       applied_seq_.store(last_seq, std::memory_order_release);
     }
     lock.lock();
@@ -552,24 +560,10 @@ Status DB::Write(const WriteBatch& batch) {
     write_groups_++;
     grouped_writes_ += group_writers;
   }
+  lock.unlock();
 
-  // Pop the group (leader included), report the shared status, promote
-  // the next leader.
-  for (;;) {
-    Writer* ready = writers_.front();
-    writers_.pop_front();
-    if (ready != &w) {
-      ready->status = s;
-      ready->done = true;
-      ready->cv.notify_one();
-    }
-    if (ready == last_writer) break;
-  }
-  if (!writers_.empty()) {
-    writers_.front()->cv.notify_one();
-  } else {
-    cv_.notify_all();  // Flush()/Close() may be draining the queue
-  }
+  // Hand every member its status and promote the next leader.
+  write_queue_.Complete(&self, last, s);
   return s;
 }
 
@@ -816,7 +810,7 @@ void DB::FlushThreadMain() {
       compaction_cv_.notify_all();
       continue;
     }
-    cv_.wait(lock);
+    flush_cv_.wait(lock);
   }
 }
 
@@ -1166,43 +1160,28 @@ void DB::CollectZombiesLocked() {
 
 Status DB::Flush() {
   std::unique_lock<std::mutex> lock(mu_);
-  // A group leader may be applying to mem_ outside mu_; rotating under it
-  // would let those inserts land in a memtable already being flushed. The
-  // predicate checks the writer queue and the pending flush *together* —
-  // waiting on them one at a time would let a new leader slip in while we
-  // wait for imm_ to drain. (Leaders finish by popping their group under
-  // mu_ and notify cv_ when the queue empties.)
-  while (!writers_.empty() || imm_ != nullptr) {
+  for (bool rotated = false; !rotated;) {
+    // Let a pending flush land first; writers keep going meanwhile.
+    while (imm_ != nullptr && bg_error_.ok()) cv_.wait(lock);
     if (!bg_error_.ok()) return bg_error_;
-    cv_.wait(lock);
-  }
-  if (mem_->EntryCount() > 0) {
-    // Rotate even a partially full memtable; mu_ is held from the waits
-    // above through the rotation, so no new leader can start meanwhile.
-    uint64_t new_wal_number = versions_->NewFileNumber();
-    std::unique_ptr<WritableFile> wal_file;
-    Status rotate_status =
-        env_->NewWritableFile(WalPath(new_wal_number), &wal_file);
-    if (rotate_status.ok() && options_.sync_writes) {
-      rotate_status = env_->SyncDir(options_.dir);
+    if (closed_) return Status::IOError("db closed");
+    lock.unlock();
+    // Rotate as the writer queue's leader: every group queued before this
+    // member is applied, and none starts until it completes, so no insert
+    // can land in a memtable already being flushed.
+    CommitQueue::Member self;
+    write_queue_.Join(&self);
+    lock.lock();
+    Status s;
+    if (closed_) {
+      s = Status::IOError("db closed");
+    } else if (imm_ == nullptr) {  // else a writer rotated meanwhile
+      rotated = true;
+      // Rotate even a partially full memtable.
+      if (mem_->EntryCount() > 0) s = RotateMemTableLocked();
     }
-    if (!rotate_status.ok()) {
-      // Fence half-rotated state, same as MakeRoomForWrite.
-      if (bg_error_.ok()) bg_error_ = rotate_status;
-      return rotate_status;
-    }
-    Status close_status = wal_->Close();
-    if (!close_status.ok()) {
-      if (bg_error_.ok()) bg_error_ = close_status;
-      return close_status;
-    }
-    wal_ = std::make_unique<LogWriter>(std::move(wal_file));
-    imm_ = std::move(mem_);
-    imm_wal_number_ = wal_number_;
-    wal_number_ = new_wal_number;
-    mem_ = std::make_shared<MemTable>(options_.arena_block_bytes);
-    RefreshViewLocked();
-    cv_.notify_all();
+    write_queue_.Complete(&self, &self, s);
+    APM_RETURN_IF_ERROR(s);
   }
   while (imm_ != nullptr && bg_error_.ok()) {
     cv_.wait(lock);
@@ -1322,7 +1301,8 @@ DB::Stats DB::GetStats() {
   stats.wal_replayed_records = wal_replayed_records_;
   stats.write_groups = write_groups_;
   stats.grouped_writes = grouped_writes_;
-  stats.pending_writers = writers_.size();
+  stats.pending_writers = write_queue_.size();
+  stats.writer_blocks = write_queue_.blocked_waits();
   for (int level = 0; level < versions_->NumLevels(); level++) {
     stats.files_per_level.push_back(versions_->NumFiles(level));
   }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/group_commit.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "lsm/block_cache.h"
@@ -57,12 +57,12 @@ class WriteBatch {
 /// unboundedly; see docs/concurrency.md, "Write path".
 ///
 /// Thread-safety: all public methods are safe to call concurrently.
-/// Writers go through a LevelDB-style writer queue: concurrent
-/// Put/Delete/Write callers enqueue, one leader merges the queued batches
-/// into a single WAL record and performs the single append + fsync
-/// *outside* the mutex, then applies the whole group to the memtable's
-/// single skip list and publishes it to readers with one release store of
-/// the group's last sequence number.
+/// Writers go through the shared group-commit queue (`CommitQueue`):
+/// concurrent Put/Delete/Write callers join it, and its leader merges the
+/// queued batches into a single WAL record and performs the single append
+/// + fsync *outside* the mutex, then applies the whole group to the
+/// memtable's single skip list and publishes it to readers with one
+/// release store of the group's last sequence number.
 /// Readers never take the writer mutex: Get/Scan/NewSnapshotIterator copy
 /// a published {mem, imm, tables} view (a pointer copy under a dedicated
 /// latch, never held across I/O) and filter the live memtable by the last
@@ -94,8 +94,14 @@ class DB {
     /// batching happened.
     uint64_t write_groups = 0;
     uint64_t grouped_writes = 0;
-    /// Writers currently queued (including any in-flight leader).
+    /// Members of the writer queue right now (including any in-flight
+    /// leader, and a Flush or Close waiting for its turn).
     uint64_t pending_writers = 0;
+    /// Queued writers that blocked, after spinning for
+    /// CommitQueue::kSpinMicros or at once when they joined a queue deeper
+    /// than the host's hardware threads: the hand-offs that cost a sleep
+    /// and a wake-up.
+    uint64_t writer_blocks = 0;
     /// Write admission control (see MakeRoomForWrite): time and write
     /// groups delayed by the level0_slowdown_trigger (bounded one-time
     /// delay) and blocked at the level0_stop_trigger.
@@ -219,15 +225,6 @@ class DB {
     bool manual = false;         // a CompactAll request
   };
 
-  /// One queued writer; the front of `writers_` is the current leader.
-  struct Writer {
-    explicit Writer(const WriteBatch* b) : batch(b) {}
-    const WriteBatch* batch;
-    bool done = false;
-    Status status;
-    std::condition_variable cv;
-  };
-
   /// A consistent, atomically published snapshot of the structures a read
   /// needs. Readers load it without mu_; any rotation/flush/compaction
   /// republishes it. shared_ptrs keep rotated memtables and compacted
@@ -260,6 +257,12 @@ class DB {
   /// compaction catches up, and rotates the memtable/WAL when the live
   /// memtable is full.
   Status MakeRoomForWrite(std::unique_lock<std::mutex>* lock);
+
+  /// Moves mem_ to imm_ behind a fresh WAL and wakes the flush thread.
+  /// Requires mu_, imm_ == nullptr, and that this thread leads the writer
+  /// queue (so no group is inserting into mem_). A failure fences writes
+  /// through bg_error_.
+  Status RotateMemTableLocked();
 
   /// Checks that `batch.rep_` decodes cleanly and matches its count, so a
   /// malformed batch is rejected before any sequence number is consumed or
@@ -322,13 +325,16 @@ class DB {
   std::unique_ptr<VersionSet> versions_;
 
   std::mutex mu_;
+  /// Signalled when background work changes what a waiter under mu_ is
+  /// waiting for: a flush landed (imm_ cleared) or a compaction finished.
+  /// Stalled leaders, Flush, Close and CompactAll wait on it.
   std::condition_variable cv_;
 
-  /// Writer queue for group commit (guarded by mu_). The leader stays at
-  /// the front until it pops its whole group, so at most one thread ever
-  /// appends to the WAL or inserts into mem_ at a time — that single
+  /// Writers, plus Flush and Close while they rotate or fence, take turns
+  /// leading this queue. One group is in flight at a time, so at most one
+  /// thread ever appends to the WAL or inserts into mem_ — that single
   /// writer is what the skip list's reader-safety contract requires.
-  std::deque<Writer*> writers_;
+  CommitQueue write_queue_;
 
   /// Published reader snapshot; see ReadView. Guarded by its own latch
   /// (not mu_) so readers copy the pointer without ever waiting on
@@ -357,6 +363,9 @@ class DB {
   std::unordered_map<uint64_t, std::shared_ptr<Table>> zombies_;
 
   std::thread flush_thread_;
+  /// Wakes the flush thread: signalled only when a rotation sets imm_ and
+  /// at shutdown, so writes never wake it.
+  std::condition_variable flush_cv_;
   std::vector<std::thread> compaction_threads_;
   /// Wakes the compaction pool: signaled when a flush lands a new L0
   /// file, a job finishes (cascading work, claim releases), a manual

@@ -211,6 +211,89 @@ void WaitFor(const std::function<bool()>& cond) {
   ASSERT_TRUE(cond());
 }
 
+// --- CommitQueue ---------------------------------------------------------
+
+// Model check of the shared queue: 8 threads join 2000 times each, and
+// every leader takes a group of random size. Every member must complete
+// exactly once, each thread's members in the order it joined them, with
+// the status its group's leader chose.
+TEST(CommitQueueTest, MembersCompleteOnceInFifoOrderWithGroupStatus) {
+  constexpr int kThreads = 8;
+  constexpr int kJoinsPerThread = 2000;
+  struct Entry {
+    int thread;
+    int index;
+    std::atomic<int> completions{0};
+    uint64_t group = 0;  // written by the leader that gathers it
+  };
+  auto group_status = [](uint64_t group) {
+    return group % 3 == 0 ? Status::IOError("group " + std::to_string(group))
+                          : Status::OK();
+  };
+
+  CommitQueue queue;
+  std::vector<std::vector<std::unique_ptr<Entry>>> entries(kThreads);
+  for (int t = 0; t < kThreads; t++) {
+    for (int i = 0; i < kJoinsPerThread; i++) {
+      entries[t].push_back(std::make_unique<Entry>());
+      entries[t].back()->thread = t;
+      entries[t].back()->index = i;
+    }
+  }
+  // Only the leader of the moment touches these: one group at a time.
+  std::vector<const Entry*> order;
+  uint64_t groups = 0;
+  std::atomic<bool> failed{false};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(t + 1);
+      for (int i = 0; i < kJoinsPerThread; i++) {
+        Entry* entry = entries[t][i].get();
+        CommitQueue::Member self(entry);
+        if (!queue.Join(&self)) {
+          if (self.status.ToString() !=
+              group_status(entry->group).ToString()) {
+            failed.store(true);
+          }
+          continue;
+        }
+        const uint64_t group = ++groups;
+        entry->group = group;
+        entry->completions.fetch_add(1);
+        order.push_back(entry);
+        uint64_t room = rng.Uniform(6);  // 0..5 more members
+        CommitQueue::Member* last =
+            queue.Gather(&self, [&](CommitQueue::Member* m) {
+              if (room == 0) return false;
+              room--;
+              auto* member = static_cast<Entry*>(const_cast<void*>(m->arg));
+              member->group = group;
+              member->completions.fetch_add(1);
+              order.push_back(member);
+              return true;
+            });
+        if (rng.Uniform(4) == 0) std::this_thread::yield();
+        queue.Complete(&self, last, group_status(group));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_FALSE(failed.load()) << "a member got another group's status";
+  EXPECT_EQ(queue.size(), 0u);
+  ASSERT_EQ(order.size(), size_t{kThreads} * kJoinsPerThread);
+  std::vector<int> next_index(kThreads, 0);
+  for (const Entry* entry : order) {
+    ASSERT_EQ(entry->completions.load(), 1)
+        << "thread " << entry->thread << " member " << entry->index;
+    ASSERT_EQ(entry->index, next_index[entry->thread])
+        << "thread " << entry->thread << " completed out of order";
+    next_index[entry->thread]++;
+  }
+}
+
 // --- GroupCommitLog ------------------------------------------------------
 
 TEST(GroupCommitLogTest, AppendsRecordsInOrder) {
@@ -264,6 +347,42 @@ TEST(GroupCommitLogTest, QueuedAppendsShareOneSync) {
   EXPECT_EQ(file->syncs(), 2u);
   EXPECT_EQ(file->contents(), "abc");
   EXPECT_TRUE(log.Close().ok());
+}
+
+// A failed round fails every member of its group, and the error sticks:
+// later appends, commits and syncs fail too. The two followers queue
+// and block behind a leader held in its fsync, so they share the next
+// round — the one that fails.
+TEST(GroupCommitLogTest, FailedRoundFailsItsWholeGroupAndLaterCommits) {
+  SyncGate gate;
+  auto owned = std::make_unique<GatedMemFile>(&gate);
+  GatedMemFile* file = owned.get();
+  GroupCommitLog log(std::move(owned));
+
+  gate.Close();
+  std::thread leader([&] { EXPECT_TRUE(log.Append("a", true).ok()); });
+  WaitFor([&] { return gate.blocked() == 1; });
+  Status status_b, status_c;
+  std::thread follower_b([&] { status_b = log.Append("b", true); });
+  std::thread follower_c([&] { status_c = log.Append("c", true); });
+  WaitFor([&] { return log.GetStats().blocked_waits == 2; });
+
+  file->set_fail_appends(true);
+  gate.Open();
+  leader.join();
+  follower_b.join();
+  follower_c.join();
+  EXPECT_TRUE(status_b.IsIOError()) << status_b.ToString();
+  EXPECT_EQ(status_c.ToString(), status_b.ToString());
+  GroupCommitLog::Stats stats = log.GetStats();
+  EXPECT_EQ(stats.groups, 2u);  // the leader's round + the failed one
+
+  file->set_fail_appends(false);
+  EXPECT_EQ(log.Append("d", false).ToString(), status_b.ToString());
+  EXPECT_EQ(log.Commit(log.Enqueue("e", false)).ToString(),
+            status_b.ToString());
+  EXPECT_EQ(log.Sync().ToString(), status_b.ToString());
+  EXPECT_EQ(file->contents(), "a");
 }
 
 TEST(GroupCommitLogTest, AppendFailureIsSticky) {
@@ -356,6 +475,8 @@ TEST(LsmConcurrencyTest, QueuedWritersShareOneWalSync) {
   // pending_writers includes the in-flight leader; wait for both
   // followers to be queued behind it.
   WaitFor([&] { return db->GetStats().pending_writers >= 3; });
+  // Held behind the gated fsync, both block.
+  WaitFor([&] { return db->GetStats().writer_blocks == 2; });
 
   env.gate()->Open();
   leader.join();
@@ -365,12 +486,138 @@ TEST(LsmConcurrencyTest, QueuedWritersShareOneWalSync) {
   lsm::DB::Stats stats = db->GetStats();
   EXPECT_EQ(stats.grouped_writes, 3u);
   EXPECT_EQ(stats.write_groups, 2u);
+  EXPECT_EQ(stats.writer_blocks, 2u);
   EXPECT_EQ(fault.OpCount(FaultOp::kSync) - syncs_before, 2u);
 
   for (const char* key : {"k1", "k2", "k3"}) {
     std::string value;
     EXPECT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
   }
+}
+
+// A lone writer always finds the queue empty: it leads every write and
+// never waits for a hand-off.
+TEST(LsmConcurrencyTest, SingleWriterNeverBlocks) {
+  testutil::ScopedTempDir dir("conc-lsm-single");
+  lsm::Options options;
+  options.dir = dir.path();
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+  for (int i = 0; i < 1000; i++) {
+    ASSERT_TRUE(db->Put("key" + std::to_string(i), "value").ok());
+  }
+  lsm::DB::Stats stats = db->GetStats();
+  EXPECT_EQ(stats.write_groups, 1000u);
+  EXPECT_EQ(stats.writer_blocks, 0u);
+  EXPECT_EQ(stats.pending_writers, 0u);
+}
+
+/// Runs `writers` threads that each put up to `max_puts` distinct keys,
+/// stopping at the first failed put. Each acknowledged key lands in
+/// `acked`, each writer's first failure (OK if none) in `failures`.
+void RunAckedWriters(lsm::DB* db, int writers, int max_puts,
+                     std::atomic<int>* puts,
+                     std::vector<std::vector<std::string>>* acked,
+                     std::vector<Status>* failures) {
+  acked->assign(writers, {});
+  failures->assign(writers, Status::OK());
+  std::vector<std::thread> threads;
+  for (int w = 0; w < writers; w++) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < max_puts; i++) {
+        char key_buf[32];
+        snprintf(key_buf, sizeof(key_buf), "acked%02d.%08d", w, i);
+        const std::string key = key_buf;
+        Status s = db->Put(key, "v:" + key);
+        if (!s.ok()) {
+          (*failures)[w] = s;
+          return;
+        }
+        (*acked)[w].push_back(key);
+        puts->fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+// Close races writers in the queue: each Put either is acknowledged or
+// fails with "db closed", and every acknowledged key survives the clean
+// shutdown (docs/durability.md).
+TEST(LsmConcurrencyTest, CloseWhileWritersQueue) {
+  testutil::ScopedTempDir dir("conc-lsm-close");
+  lsm::Options options;
+  options.dir = dir.path();
+  options.memtable_bytes = 64 * 1024;
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+
+  std::atomic<int> puts{0};
+  std::vector<std::vector<std::string>> acked;
+  std::vector<Status> failures;
+  std::thread closer([&] {
+    WaitFor([&] { return puts.load() >= 2000; });
+    EXPECT_TRUE(db->Close().ok());
+  });
+  // No writer can reach its last put before the close: each fails first.
+  RunAckedWriters(db.get(), 4, 1 << 30, &puts, &acked, &failures);
+  closer.join();
+  for (const Status& s : failures) {
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(s.message(), "db closed");
+  }
+
+  db.reset();
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+  for (const auto& keys : acked) {
+    for (const std::string& key : keys) {
+      std::string value;
+      ASSERT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
+      ASSERT_EQ(value, "v:" + key);
+    }
+  }
+}
+
+// Flush leads the writer queue to rotate, racing writers that rotate the
+// tiny memtable themselves: no acknowledged key may be lost and the
+// tables must stay well formed.
+TEST(LsmConcurrencyTest, FlushWhileWritersQueue) {
+  testutil::ScopedTempDir dir("conc-lsm-flush");
+  lsm::Options options;
+  options.dir = dir.path();
+  options.memtable_bytes = 4 * 1024;
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+
+  std::atomic<int> puts{0};
+  std::vector<std::vector<std::string>> acked;
+  std::vector<Status> failures;
+  std::atomic<bool> writers_done{false};
+  int flushes = 0;
+  std::thread flusher([&] {
+    while (!writers_done.load()) {
+      EXPECT_TRUE(db->Flush().ok());
+      flushes++;
+    }
+  });
+  RunAckedWriters(db.get(), 4, 1500, &puts, &acked, &failures);
+  writers_done.store(true);
+  flusher.join();
+  for (const Status& s : failures) EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(flushes, 0);
+  EXPECT_EQ(puts.load(), 4 * 1500);
+  ASSERT_TRUE(db->VerifyIntegrity().ok());
+
+  db.reset();
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+  for (const auto& keys : acked) {
+    for (const std::string& key : keys) {
+      std::string value;
+      ASSERT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
+      ASSERT_EQ(value, "v:" + key);
+    }
+  }
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
 }
 
 // --- Cross-engine model checks -------------------------------------------

@@ -57,7 +57,8 @@ int RunEmbedded(const Properties& args) {
 
   printf("loading %llu records into embedded %s (%lld nodes)...\n",
          static_cast<unsigned long long>(workload.record_count()),
-         store_name.c_str(), args.GetInt("nodes", 2));
+         store_name.c_str(),
+         static_cast<long long>(args.GetInt("nodes", 2)));
   status = ycsb::LoadDatabase(db.get(), &workload, 4);
   if (!status.ok()) {
     fprintf(stderr, "load: %s\n", status.ToString().c_str());

@@ -11,14 +11,16 @@ namespace apmbench::apm {
 std::string MeasurementCodec::MetricPrefix(const std::string& metric) {
   uint64_t hash = MurmurHash64A(metric.data(), metric.size(), 0xA9F1);
   char buf[16];
-  snprintf(buf, sizeof(buf), "m%012" PRIx64, hash & 0xffffffffffffULL);
+  snprintf(buf, sizeof(buf), "m%012" PRIx64,
+           static_cast<uint64_t>(hash & 0xffffffffffffULL));
   return buf;
 }
 
 std::string MeasurementCodec::Key(const std::string& metric,
                                   uint64_t timestamp) {
   char buf[16];
-  snprintf(buf, sizeof(buf), "%012" PRIu64, timestamp % 1000000000000ULL);
+  snprintf(buf, sizeof(buf), "%012" PRIu64,
+           static_cast<uint64_t>(timestamp % 1000000000000ULL));
   return MetricPrefix(metric) + buf;
 }
 
@@ -32,7 +34,8 @@ std::string FixedDouble(double v) {
 
 std::string FixedUint(uint64_t v) {
   char buf[32];
-  snprintf(buf, sizeof(buf), "%010" PRIu64, v % 10000000000ULL);
+  snprintf(buf, sizeof(buf), "%010" PRIu64,
+           static_cast<uint64_t>(v % 10000000000ULL));
   return std::string(buf, 10);
 }
 

@@ -21,15 +21,15 @@ constexpr uint32_t kBlocked = 1;
 constexpr uint32_t kLeader = 2;
 constexpr uint32_t kDone = 3;
 
-inline void CpuRelax() {
+}  // namespace
+
+void CommitQueue::CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   _mm_pause();
 #elif defined(__aarch64__)
   asm volatile("yield");
 #endif
 }
-
-}  // namespace
 
 CommitQueue::CommitQueue()
     : spin_limit_(std::max(1u, std::thread::hardware_concurrency())) {}
@@ -53,19 +53,15 @@ bool CommitQueue::Join(Member* m) {
 }
 
 uint32_t CommitQueue::Wait(Member* m, bool spin) {
-  if (spin) {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::microseconds(kSpinMicros);
-    for (uint32_t i = 1;; i++) {
-      const uint32_t state = m->state_.load(std::memory_order_acquire);
-      if (state != kWaiting) return state;
-      CpuRelax();
-      if (i % 64 == 0 && Clock::now() >= deadline) break;
-    }
+  uint32_t state = kWaiting;
+  if (spin && Spin([&] {
+        state = m->state_.load(std::memory_order_acquire);
+        return state != kWaiting;
+      })) {
+    return state;
   }
   std::unique_lock<std::mutex> lock(m->mu_);
-  uint32_t state = kWaiting;
+  state = kWaiting;
   if (!m->state_.compare_exchange_strong(state, kBlocked,
                                          std::memory_order_acq_rel)) {
     return state;  // the leader got here first
@@ -92,8 +88,7 @@ void CommitQueue::Wake(Member* m, uint32_t state) {
   m->cv_.notify_one();
 }
 
-void CommitQueue::Complete(Member* leader, Member* last,
-                           const Status& status) {
+void CommitQueue::Promote(Member* leader, Member* last) {
   uint64_t members = 1;
   for (Member* m = leader; m != last; m = m->next_) members++;
   Member* next_leader;
@@ -103,18 +98,23 @@ void CommitQueue::Complete(Member* leader, Member* last,
     if (next_leader == nullptr) tail_ = nullptr;
     size_ -= members;
   }
-  if (leader != last) {
-    Member* m = leader->next_;
-    for (;;) {
-      // Read the link first: a woken member may be gone right away.
-      Member* after = m == last ? nullptr : m->next_;
-      m->status = status;
-      Wake(m, kDone);
-      if (after == nullptr) break;
-      m = after;
-    }
-  }
   if (next_leader != nullptr) Wake(next_leader, kLeader);
+}
+
+void CommitQueue::Finish(Member* leader, Member* last, const Status& status) {
+  // The group's links were written before it was gathered, and Promote
+  // detached it, so they no longer change; never read `last->next_`,
+  // which belongs to the next group.
+  if (leader == last) return;
+  Member* m = leader->next_;
+  for (;;) {
+    // Read the link first: a woken member may be gone right away.
+    Member* after = m == last ? nullptr : m->next_;
+    m->status = status;
+    Wake(m, kDone);
+    if (after == nullptr) break;
+    m = after;
+  }
 }
 
 uint64_t CommitQueue::size() const {

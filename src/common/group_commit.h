@@ -2,6 +2,7 @@
 #define APMBENCH_COMMON_GROUP_COMMIT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -17,17 +18,20 @@ namespace apmbench {
 /// The group-commit queue shared by the LSM writer path and
 /// GroupCommitLog. Threads join as members of a FIFO; the front member is
 /// the leader. The leader picks its group, a prefix of the members queued
-/// at that moment (Gather), does the group's work, and completes it
-/// (Complete): every member of the group gets the leader's status, and the
-/// next member becomes leader. One group is in flight at a time.
+/// at that moment (Gather), does the group's work, and completes it in two
+/// steps: Promote detaches the group and makes the next member the
+/// leader, and Finish hands every member of the group the leader's status.
+/// A leader that calls Promote before its group's work is done lets the
+/// next group start while this one finishes (the LSM writer pipeline);
+/// Complete does both at once, so only one group is in flight.
 ///
 /// A waiting member spins on its own slot for up to kSpinMicros, since a
 /// leader's hold is often a few µs, and only then blocks on its own
 /// condition variable. It spins only if it joined a queue of at most as
 /// many members (itself included) as the host has hardware threads;
 /// deeper in the queue it blocks at once, so the leader and the
-/// spinners never outnumber the cores. Complete wakes exactly the members it completes plus the
-/// next leader; nobody else is woken.
+/// spinners never outnumber the cores. Promote wakes only the next
+/// leader and Finish only the members it completes; nobody else is woken.
 class CommitQueue {
  public:
   /// How long a queued member spins before it blocks.
@@ -79,11 +83,33 @@ class CommitQueue {
     return last;
   }
 
-  /// Leader only. Completes the group `leader`..`last` with `status`,
-  /// wakes each member of it, then makes the next member the leader.
-  void Complete(Member* leader, Member* last, const Status& status);
+  /// Leader only. Detaches the group `leader`..`last` from the queue and
+  /// makes the next member the leader. The group's members keep waiting
+  /// until Finish.
+  void Promote(Member* leader, Member* last);
 
-  /// Members queued now, the leader included.
+  /// Completes the group `leader`..`last`, already promoted past, with
+  /// `status`: each member other than `leader` gets it and is woken.
+  static void Finish(Member* leader, Member* last, const Status& status);
+
+  /// Promote, then Finish.
+  void Complete(Member* leader, Member* last, const Status& status) {
+    Promote(leader, last);
+    Finish(leader, last, status);
+  }
+
+  /// Spins until `done()` holds, for at most kSpinMicros, and only while
+  /// the queue is no deeper than the host's hardware threads (the rule a
+  /// joining member follows). Returns whether `done()` held. For a leader
+  /// that waits on the group ahead of it before it blocks.
+  template <typename Done>
+  bool SpinUntil(Done&& done) const {
+    if (done()) return true;  // without taking mu_ for size()
+    return size() <= spin_limit_ && Spin(done);
+  }
+
+  /// Members queued now, the leader included; a promoted group's members
+  /// waiting for Finish are not.
   uint64_t size() const;
 
   /// Members that blocked: they used up their spin, or joined too deep
@@ -97,6 +123,21 @@ class CommitQueue {
   /// promotes `m`; returns the state it set.
   uint32_t Wait(Member* m, bool spin);
   static void Wake(Member* m, uint32_t state);
+
+  /// Polls `done` with a CPU pause between tries until it holds or
+  /// kSpinMicros pass; returns whether it held.
+  template <typename Done>
+  static bool Spin(Done&& done) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::microseconds(kSpinMicros);
+    for (uint32_t i = 1;; i++) {
+      if (done()) return true;
+      CpuRelax();
+      if (i % 64 == 0 && Clock::now() >= deadline) return done();
+    }
+  }
+  static void CpuRelax();
 
   const uint64_t spin_limit_;  // hardware threads: deepest spinning member
   mutable std::mutex mu_;

@@ -300,12 +300,14 @@ Status DB::ReplayWals() {
 Status DB::Close() {
   {
     // Drain in-flight write groups: once this member leads the writer
-    // queue, every group queued before it is complete (a leader appends
-    // to the WAL outside mu_, and the WAL is synced/closed below), and
-    // every later leader finds closed_ and fails its group.
+    // queue, every group queued before it has appended to the WAL (a
+    // leader appends outside mu_, and the WAL is synced/closed below);
+    // the last of them may still be inserting, so wait for that too.
+    // Every later leader finds closed_ and fails its group.
     CommitQueue::Member self;
     write_queue_.Join(&self);
     std::unique_lock<std::mutex> lock(mu_);
+    WaitForApplied(versions_->last_seq());
     const bool already_closed = closed_;
     closed_ = true;
     write_queue_.Complete(&self, &self, Status::OK());
@@ -405,6 +407,9 @@ Status DB::MakeRoomForWrite(std::unique_lock<std::mutex>* lock) {
 }
 
 Status DB::RotateMemTableLocked() {
+  // The group ahead of this leader may still be inserting into mem_: let
+  // it finish before mem_ becomes the flush thread's input.
+  WaitForApplied(versions_->last_seq());
   uint64_t new_wal_number = versions_->NewFileNumber();
   std::unique_ptr<WritableFile> wal_file;
   Status s = env_->NewWritableFile(WalPath(new_wal_number), &wal_file);
@@ -500,71 +505,107 @@ Status DB::Write(const WriteBatch& batch) {
   CommitQueue::Member self(&batch);
   if (!write_queue_.Join(&self)) return self.status;  // a leader did it
 
-  // This thread leads the writer queue: no other group is in flight until
-  // it completes its own below, so no other thread touches the WAL
-  // meanwhile and at most one group is ever applied to the memtable.
+  // This thread leads the writer queue: no other thread touches the WAL
+  // until it promotes the next leader below. The group ahead of it may
+  // still be inserting into the memtable.
   std::unique_lock<std::mutex> lock(mu_);
   Status s = closed_ ? Status::IOError("db closed") : MakeRoomForWrite(&lock);
-  CommitQueue::Member* last = &self;
-  if (s.ok()) {
-    // Merge the queued batches (bounded, to keep follower latency sane)
-    // into one rep covering contiguous sequence numbers. A Flush or Close
-    // member carries no batch and leads on its own.
-    constexpr size_t kMaxGroupBytes = 1 << 20;
-    std::string group_rep = batch.rep_;
-    size_t group_count = batch.Count();
-    size_t group_writers = 1;
-    last = write_queue_.Gather(&self, [&](CommitQueue::Member* m) {
-      const auto* queued = static_cast<const WriteBatch*>(m->arg);
-      if (queued == nullptr ||
-          group_rep.size() + queued->rep_.size() > kMaxGroupBytes) {
-        return false;
-      }
-      group_rep.append(queued->rep_);
-      group_count += queued->Count();
-      group_writers++;
-      return true;
-    });
-    const uint64_t base_seq = versions_->last_seq() + 1;
-    const uint64_t last_seq = base_seq + group_count - 1;
-    versions_->set_last_seq(last_seq);
-    std::string record;
-    EncodeWalRecord(&record, base_seq, kWalBatch, Slice(), Slice(group_rep));
-    MemTable* mem = mem_.get();
-    LogWriter* wal = wal_.get();
-
-    // The expensive part — one WAL append (and at most one fsync) for the
-    // whole group, plus the memtable inserts — runs outside mu_. Readers
-    // are already lock-free; this also unblocks Flush/GetStats/background
-    // work for the duration of the I/O.
+  if (!s.ok()) {
+    // No sequence number taken, nothing to insert.
     lock.unlock();
-    s = wal->AddRecord(record, options_.sync_writes);
-    if (s.ok()) {
-      // The memtable never runs ahead of the log: nothing is inserted
-      // before the group's WAL record is written.
-      ApplyBatchRep(mem, Slice(group_rep), base_seq);
-      // Publish the group to readers only once every entry is in: readers
-      // cap their memtable visibility at applied_seq_, which keeps both
-      // batches and whole groups atomic under concurrent Get/Scan. WAL
-      // order == seq order == publication order, since the next leader
-      // cannot start until this group completes below.
-      applied_seq_.store(last_seq, std::memory_order_release);
-    }
-    lock.lock();
-    if (!s.ok() && bg_error_.ok()) {
-      // The WAL may now end in a partial frame; further appends would
-      // write beyond it and turn the next recovery into mid-log
-      // corruption.
-      bg_error_ = s;
-    }
-    write_groups_++;
-    grouped_writes_ += group_writers;
+    write_queue_.Complete(&self, &self, s);
+    return s;
   }
+  // Merge the queued batches (bounded, to keep follower latency sane)
+  // into one rep covering contiguous sequence numbers. A Flush or Close
+  // member carries no batch and leads on its own.
+  constexpr size_t kMaxGroupBytes = 1 << 20;
+  std::string group_rep = batch.rep_;
+  size_t group_count = batch.Count();
+  size_t group_writers = 1;
+  CommitQueue::Member* last =
+      write_queue_.Gather(&self, [&](CommitQueue::Member* m) {
+        const auto* queued = static_cast<const WriteBatch*>(m->arg);
+        if (queued == nullptr ||
+            group_rep.size() + queued->rep_.size() > kMaxGroupBytes) {
+          return false;
+        }
+        group_rep.append(queued->rep_);
+        group_count += queued->Count();
+        group_writers++;
+        return true;
+      });
+  const uint64_t base_seq = versions_->last_seq() + 1;
+  const uint64_t last_seq = base_seq + group_count - 1;
+  versions_->set_last_seq(last_seq);
+  write_groups_++;
+  grouped_writes_ += group_writers;
+  std::string record;
+  EncodeWalRecord(&record, base_seq, kWalBatch, Slice(), Slice(group_rep));
+  // Rotation waits for this group's inserts (RotateMemTableLocked), so
+  // `mem` stays the live memtable until they are done.
+  MemTable* mem = mem_.get();
+  LogWriter* wal = wal_.get();
   lock.unlock();
 
-  // Hand every member its status and promote the next leader.
-  write_queue_.Complete(&self, last, s);
+  // A depth-2 pipeline: the WAL append (and at most one fsync) for the
+  // whole group runs outside mu_, overlapping the previous group's
+  // memtable inserts.
+  s = wal->AddRecord(record, options_.sync_writes);
+  if (!s.ok()) {
+    // The WAL may now end in a partial frame; further appends would
+    // write beyond it and turn the next recovery into mid-log
+    // corruption. Fence before the next leader starts, so it fails
+    // fast.
+    std::lock_guard<std::mutex> guard(mu_);
+    if (bg_error_.ok()) bg_error_ = s;
+  }
+  // The skip list takes one writer at a time, in sequence order: this
+  // group inserts only once the previous one has published. Only then
+  // may the next leader start its WAL append.
+  WaitForApplied(base_seq - 1);
+  write_queue_.Promote(&self, last);
+  // The memtable never runs ahead of the log: nothing is inserted before
+  // the group's WAL record is written.
+  if (s.ok()) ApplyBatchRep(mem, Slice(group_rep), base_seq);
+  // Publish the group to readers only once every entry is in: readers
+  // cap their memtable visibility at applied_seq_, which keeps both
+  // batches and whole groups atomic under concurrent Get/Scan. A failed
+  // group publishes too (it inserted nothing), or the next waiter on
+  // applied_seq_ would never return.
+  PublishApplied(last_seq);
+  CommitQueue::Finish(&self, last, s);
   return s;
+}
+
+void DB::WaitForApplied(uint64_t seq) {
+  auto applied = [&] {
+    return applied_seq_.load(std::memory_order_acquire) >= seq;
+  };
+  if (write_queue_.SpinUntil(applied)) return;
+  std::unique_lock<std::mutex> lock(apply_mu_);
+  // Paired with PublishApplied: the publisher stores applied_seq_ before
+  // it reads apply_sleepers_, and this thread counts itself before it
+  // reads applied_seq_ (all seq_cst), so either the publisher sees the
+  // sleeper or this thread sees the new applied_seq_.
+  apply_sleepers_.fetch_add(1);
+  bool blocked = false;
+  while (applied_seq_.load() < seq) {
+    blocked = true;
+    apply_cv_.wait(lock);
+  }
+  apply_sleepers_.fetch_sub(1);
+  if (blocked) apply_waits_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void DB::PublishApplied(uint64_t seq) {
+  applied_seq_.store(seq);
+  if (apply_sleepers_.load() > 0) {
+    // Only the writer queue's current leader waits, but waking every
+    // sleeper keeps a second one from being stranded.
+    std::lock_guard<std::mutex> lock(apply_mu_);
+    apply_cv_.notify_all();
+  }
 }
 
 Status DB::Get(const ReadOptions& read_options, const Slice& key,
@@ -582,7 +623,7 @@ Status DB::Get(const ReadOptions& read_options, const Slice& key,
   if (r == MemTable::GetResult::kDeleted) return Status::NotFound();
   if (view->imm != nullptr) {
     // The immutable memtable is fully applied by construction (rotation
-    // only happens between write groups), so no seq cap is needed.
+    // waits for the last group's inserts), so no seq cap is needed.
     r = view->imm->Get(key, value);
     if (r == MemTable::GetResult::kFound) return Status::OK();
     if (r == MemTable::GetResult::kDeleted) return Status::NotFound();
@@ -1166,12 +1207,13 @@ Status DB::Flush() {
     if (!bg_error_.ok()) return bg_error_;
     if (closed_) return Status::IOError("db closed");
     lock.unlock();
-    // Rotate as the writer queue's leader: every group queued before this
-    // member is applied, and none starts until it completes, so no insert
-    // can land in a memtable already being flushed.
+    // Rotate as the writer queue's leader, once the last group ahead of
+    // this member has inserted: none starts until it completes, so no
+    // insert can land in a memtable already being flushed.
     CommitQueue::Member self;
     write_queue_.Join(&self);
     lock.lock();
+    WaitForApplied(versions_->last_seq());
     Status s;
     if (closed_) {
       s = Status::IOError("db closed");
@@ -1303,6 +1345,7 @@ DB::Stats DB::GetStats() {
   stats.grouped_writes = grouped_writes_;
   stats.pending_writers = write_queue_.size();
   stats.writer_blocks = write_queue_.blocked_waits();
+  stats.apply_waits = apply_waits_.load(std::memory_order_relaxed);
   for (int level = 0; level < versions_->NumLevels(); level++) {
     stats.files_per_level.push_back(versions_->NumFiles(level));
   }

@@ -60,9 +60,12 @@ class WriteBatch {
 /// Writers go through the shared group-commit queue (`CommitQueue`):
 /// concurrent Put/Delete/Write callers join it, and its leader merges the
 /// queued batches into a single WAL record and performs the single append
-/// + fsync *outside* the mutex, then applies the whole group to the
-/// memtable's single skip list and publishes it to readers with one
-/// release store of the group's last sequence number.
+/// + fsync *outside* the mutex. Write groups run as a depth-2 pipeline:
+/// once the previous group has published, the leader promotes the next
+/// leader, whose WAL append then overlaps this group's inserts into the
+/// memtable's single skip list; the group is published to readers with
+/// one store of its last sequence number. WAL order, sequence order,
+/// memtable-insert order and publication order are one order.
 /// Readers never take the writer mutex: Get/Scan/NewSnapshotIterator copy
 /// a published {mem, imm, tables} view (a pointer copy under a dedicated
 /// latch, never held across I/O) and filter the live memtable by the last
@@ -102,6 +105,11 @@ class DB {
     /// than the host's hardware threads: the hand-offs that cost a sleep
     /// and a wake-up.
     uint64_t writer_blocks = 0;
+    /// Waits for the previous write group's memtable inserts (by a
+    /// leader, or by a rotation, Flush or Close) that blocked after the
+    /// same bounded spin: the pipeline stalls that cost a sleep and a
+    /// wake-up.
+    uint64_t apply_waits = 0;
     /// Write admission control (see MakeRoomForWrite): time and write
     /// groups delayed by the level0_slowdown_trigger (bounded one-time
     /// delay) and blocked at the level0_stop_trigger.
@@ -260,8 +268,8 @@ class DB {
 
   /// Moves mem_ to imm_ behind a fresh WAL and wakes the flush thread.
   /// Requires mu_, imm_ == nullptr, and that this thread leads the writer
-  /// queue (so no group is inserting into mem_). A failure fences writes
-  /// through bg_error_.
+  /// queue (so no later group can start); waits for the previous group's
+  /// memtable inserts first. A failure fences writes through bg_error_.
   Status RotateMemTableLocked();
 
   /// Checks that `batch.rep_` decodes cleanly and matches its count, so a
@@ -274,6 +282,15 @@ class DB {
   /// leader is the memtable's only writer.
   static void ApplyBatchRep(MemTable* mem, const Slice& rep,
                             uint64_t base_seq);
+
+  /// Waits until applied_seq_ >= `seq`: spins as the writer queue allows
+  /// (CommitQueue::SpinUntil), then blocks on apply_cv_. Called only by
+  /// the writer queue's current leader, with or without mu_.
+  void WaitForApplied(uint64_t seq);
+
+  /// Stores `seq` into applied_seq_ and wakes a blocked WaitForApplied.
+  /// Never takes mu_, so a leader waiting under mu_ cannot deadlock it.
+  void PublishApplied(uint64_t seq);
 
   /// Republishes the reader view from mem_/imm_ and the live version's
   /// tables (with their manifest key ranges). Requires mu_.
@@ -331,9 +348,11 @@ class DB {
   std::condition_variable cv_;
 
   /// Writers, plus Flush and Close while they rotate or fence, take turns
-  /// leading this queue. One group is in flight at a time, so at most one
-  /// thread ever appends to the WAL or inserts into mem_ — that single
-  /// writer is what the skip list's reader-safety contract requires.
+  /// leading this queue. A leader promotes the next one only after its
+  /// WAL append and the previous group's inserts, so at most one thread
+  /// ever appends to the WAL and at most one inserts into mem_ — that
+  /// single writer is what the skip list's reader-safety contract
+  /// requires.
   CommitQueue write_queue_;
 
   /// Published reader snapshot; see ReadView. Guarded by its own latch
@@ -349,6 +368,12 @@ class DB {
   /// memtable. Readers filter the live memtable by it so half-applied
   /// groups stay invisible and batches remain atomic.
   std::atomic<uint64_t> applied_seq_{0};
+  /// A leader blocked in WaitForApplied sleeps on apply_cv_; the
+  /// publisher wakes it only if apply_sleepers_ is nonzero.
+  std::mutex apply_mu_;
+  std::condition_variable apply_cv_;
+  std::atomic<int> apply_sleepers_{0};
+  std::atomic<uint64_t> apply_waits_{0};
 
   std::shared_ptr<MemTable> mem_;
   std::shared_ptr<MemTable> imm_;  // being flushed; null when none

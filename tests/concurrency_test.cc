@@ -294,6 +294,129 @@ TEST(CommitQueueTest, MembersCompleteOnceInFifoOrderWithGroupStatus) {
   }
 }
 
+// Promote hands the queue to the next member while the promoted-past
+// group still waits: that member leads (and here even completes its own
+// group) before the earlier group's members return, and they return
+// only from Finish, with Finish's status.
+TEST(CommitQueueTest, PromotedMemberLeadsWhileGroupAwaitsFinish) {
+  CommitQueue queue;
+  CommitQueue::Member a, b, c;
+  ASSERT_TRUE(queue.Join(&a));  // an empty queue: leads at once
+  std::atomic<int> b_returns{0};
+  bool b_led = true;
+  std::thread tb([&] {
+    b_led = queue.Join(&b);
+    b_returns.fetch_add(1);
+  });
+  WaitFor([&] { return queue.size() == 2; });
+  std::atomic<bool> c_done{false};
+  bool c_led = false;
+  std::thread tc([&] {
+    c_led = queue.Join(&c);
+    if (c_led) queue.Complete(&c, &c, Status::OK());
+    c_done.store(true);
+  });
+  WaitFor([&] { return queue.size() == 3; });
+
+  CommitQueue::Member* last =
+      queue.Gather(&a, [&](CommitQueue::Member* m) { return m == &b; });
+  ASSERT_EQ(last, &b);
+  queue.Promote(&a, last);
+  WaitFor([&] { return c_done.load(); });
+  tc.join();
+  EXPECT_TRUE(c_led);
+  EXPECT_EQ(queue.size(), 0u);
+  // Past the spin, so b is blocked, not merely not yet scheduled.
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(20 * CommitQueue::kSpinMicros));
+  EXPECT_EQ(b_returns.load(), 0) << "a promoted-past member returned";
+
+  CommitQueue::Finish(&a, last, Status::IOError("group a"));
+  tb.join();
+  EXPECT_EQ(b_returns.load(), 1);
+  EXPECT_FALSE(b_led);
+  EXPECT_TRUE(b.status.IsIOError());
+  EXPECT_EQ(b.status.message(), "group a");
+}
+
+// The model check above with Promote and Finish apart: each leader
+// promotes the next one, then (sometimes after a yield) finishes its
+// group with a status chosen only after the promotion. Every member
+// completes exactly once, after its leader marked it finished, with that
+// status.
+TEST(CommitQueueTest, PipelinedGroupsCompleteOnceWithFinishStatus) {
+  constexpr int kThreads = 8;
+  constexpr int kJoinsPerThread = 2000;
+  struct Entry {
+    std::atomic<int> completions{0};
+    std::atomic<bool> finished{false};  // set by its leader before Finish
+    uint64_t group = 0;                 // written by the leader
+  };
+  auto finish_status = [](uint64_t group) {
+    return group % 3 == 0 ? Status::IOError("group " + std::to_string(group))
+                          : Status::OK();
+  };
+
+  CommitQueue queue;
+  std::vector<std::vector<std::unique_ptr<Entry>>> entries(kThreads);
+  for (auto& thread_entries : entries) {
+    for (int i = 0; i < kJoinsPerThread; i++) {
+      thread_entries.push_back(std::make_unique<Entry>());
+    }
+  }
+  uint64_t groups = 0;  // touched only by the leader, before Promote
+  std::atomic<bool> failed{false};
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      Random rng(t + 1);
+      std::vector<Entry*> group_members;
+      for (int i = 0; i < kJoinsPerThread; i++) {
+        Entry* entry = entries[t][i].get();
+        CommitQueue::Member self(entry);
+        if (!queue.Join(&self)) {
+          if (!entry->finished.load() ||
+              self.status.ToString() !=
+                  finish_status(entry->group).ToString()) {
+            failed.store(true);
+          }
+          continue;
+        }
+        const uint64_t group = ++groups;
+        entry->group = group;
+        entry->completions.fetch_add(1);
+        group_members.clear();
+        uint64_t room = rng.Uniform(6);  // 0..5 more members
+        CommitQueue::Member* last =
+            queue.Gather(&self, [&](CommitQueue::Member* m) {
+              if (room == 0) return false;
+              room--;
+              auto* member = static_cast<Entry*>(const_cast<void*>(m->arg));
+              member->group = group;
+              member->completions.fetch_add(1);
+              group_members.push_back(member);
+              return true;
+            });
+        queue.Promote(&self, last);
+        if (rng.Uniform(4) == 0) std::this_thread::yield();
+        for (Entry* member : group_members) member->finished.store(true);
+        CommitQueue::Finish(&self, last, finish_status(group));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_FALSE(failed.load())
+      << "a member returned before Finish or with another status";
+  EXPECT_EQ(queue.size(), 0u);
+  for (const auto& thread_entries : entries) {
+    for (const auto& entry : thread_entries) {
+      ASSERT_EQ(entry->completions.load(), 1);
+    }
+  }
+}
+
 // --- GroupCommitLog ------------------------------------------------------
 
 TEST(GroupCommitLogTest, AppendsRecordsInOrder) {
@@ -618,6 +741,179 @@ TEST(LsmConcurrencyTest, FlushWhileWritersQueue) {
     }
   }
   EXPECT_TRUE(db->VerifyIntegrity().ok());
+}
+
+// Pipelined write groups under 2, 4 and 8 writers, with a 64 KiB
+// memtable so that rotations and Flush race a group still inserting into
+// the memtable. A writer's puts are acknowledged in order, so any reader
+// must see a prefix of them: never write k+1 without write k. Every
+// acknowledged key survives Close and reopen.
+TEST(LsmConcurrencyTest, PipelinedGroupsKeepEachWritersPrefixVisible) {
+  constexpr int kTotalPuts = 12000;
+  auto key_of = [](int writer, int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "pipe%02d.%08d", writer, i);
+    return std::string(buf);
+  };
+  auto writer_limit = [](int writer) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "pipe%02d/", writer);  // '/' follows '.'
+    return std::string(buf);
+  };
+  for (int writers : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(writers) + " writers");
+    testutil::ScopedTempDir dir("conc-lsm-pipe");
+    lsm::Options options;
+    options.dir = dir.path();
+    options.memtable_bytes = 64 * 1024;
+    std::unique_ptr<lsm::DB> db;
+    ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+
+    const int puts_per_writer = kTotalPuts / writers;
+    std::atomic<int> writers_left{writers};
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < writers; w++) {
+      threads.emplace_back([&, w] {
+        for (int i = 0; i < puts_per_writer && !failed.load(); i++) {
+          const std::string key = key_of(w, i);
+          Status s = db->Put(key, "v:" + key);
+          if (!s.ok()) {
+            ADD_FAILURE() << "put " << key << ": " << s.ToString();
+            failed.store(true);
+          }
+        }
+        writers_left.fetch_sub(1);
+      });
+    }
+    int flushes = 0;
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0 && !failed.load()) {
+        Status s = db->Flush();
+        if (!s.ok()) {
+          ADD_FAILURE() << "flush: " << s.ToString();
+          failed.store(true);
+        }
+        flushes++;
+      }
+    });
+    for (int r = 0; r < 2; r++) {
+      threads.emplace_back([&, r] {
+        Random rng(300 + r);
+        while (writers_left.load() > 0 && !failed.load()) {
+          const int w = static_cast<int>(rng.Uniform(writers));
+          const int k =
+              static_cast<int>(rng.Uniform(puts_per_writer - 1));
+          std::string value;
+          // Point reads: k+1 first, then k, which must be visible too.
+          if (db->Get(lsm::ReadOptions(), key_of(w, k + 1), &value).ok() &&
+              !db->Get(lsm::ReadOptions(), key_of(w, k), &value).ok()) {
+            ADD_FAILURE() << "saw " << key_of(w, k + 1) << " without "
+                          << key_of(w, k);
+            failed.store(true);
+          }
+          // A scan is one snapshot: its rows from k on are contiguous.
+          std::vector<std::pair<std::string, std::string>> rows;
+          Status s = db->Scan(lsm::ReadOptions(), key_of(w, k),
+                              writer_limit(w), 32, &rows);
+          if (!s.ok()) {
+            ADD_FAILURE() << "scan: " << s.ToString();
+            failed.store(true);
+          }
+          for (size_t i = 0; i < rows.size(); i++) {
+            const std::string expected = key_of(w, k + static_cast<int>(i));
+            if (rows[i].first != expected ||
+                rows[i].second != "v:" + expected) {
+              ADD_FAILURE() << "scan from " << key_of(w, k) << " row " << i
+                            << " is " << rows[i].first;
+              failed.store(true);
+              break;
+            }
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    ASSERT_FALSE(failed.load());
+    EXPECT_GT(flushes, 0);
+    lsm::DB::Stats stats = db->GetStats();
+    EXPECT_EQ(stats.grouped_writes,
+              static_cast<uint64_t>(writers) * puts_per_writer);
+    EXPECT_GT(stats.num_flushes, 1u);
+
+    ASSERT_TRUE(db->Close().ok());
+    db.reset();
+    ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+    for (int w = 0; w < writers; w++) {
+      for (int i = 0; i < puts_per_writer; i++) {
+        const std::string key = key_of(w, i);
+        std::string value;
+        ASSERT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
+        ASSERT_EQ(value, "v:" + key);
+      }
+    }
+    EXPECT_TRUE(db->VerifyIntegrity().ok());
+  }
+}
+
+// A WAL append fails while write groups pipeline: the failed group's
+// members get the error and the engine fences itself, so every later
+// write fails with the same status even once the device recovers.
+// Nothing of a failed write becomes readable, no waiter on the previous
+// group hangs, and Flush and Close return.
+TEST(LsmConcurrencyTest, WalAppendFailureFencesPipelinedWriters) {
+  testutil::ScopedTempDir dir("conc-lsm-walfail");
+  FaultInjectionEnv fault(Env::Default());
+  lsm::Options options;
+  options.dir = dir.path();
+  options.env = &fault;
+  std::unique_ptr<lsm::DB> db;
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+
+  // Two appends per WAL record (frame header, payload): an odd count
+  // fails a payload after its header landed, leaving a torn tail.
+  fault.FailAfter(FaultOp::kAppend, 401);
+  std::atomic<int> puts{0};
+  std::vector<std::vector<std::string>> acked;
+  std::vector<Status> failures;
+  RunAckedWriters(db.get(), 4, 1 << 30, &puts, &acked, &failures);
+  EXPECT_GT(puts.load(), 0);
+  for (const Status& s : failures) {
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(s.message(), "fault_env: injected fault");
+  }
+
+  // The device works again; the fence (bg_error_) must still hold.
+  fault.ClearAllFaults();
+  Status s = db->Put("after", "v");
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(s.message(), "fault_env: injected fault");
+  EXPECT_FALSE(db->Flush().ok());
+
+  auto check_contents = [&] {
+    std::string value;
+    for (int w = 0; w < 4; w++) {
+      for (const std::string& key : acked[w]) {
+        ASSERT_TRUE(db->Get(lsm::ReadOptions(), key, &value).ok()) << key;
+        ASSERT_EQ(value, "v:" + key);
+      }
+      // The write each writer saw fail.
+      char key[32];
+      snprintf(key, sizeof(key), "acked%02d.%08d", w,
+               static_cast<int>(acked[w].size()));
+      EXPECT_TRUE(db->Get(lsm::ReadOptions(), key, &value).IsNotFound())
+          << key;
+    }
+    EXPECT_TRUE(db->Get(lsm::ReadOptions(), "after", &value).IsNotFound());
+  };
+  check_contents();
+  // Close waits for no group that never published; the device works, so
+  // its WAL sync and close succeed.
+  EXPECT_TRUE(db->Close().ok());
+
+  db.reset();
+  ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
+  check_contents();
 }
 
 // --- Cross-engine model checks -------------------------------------------

@@ -41,8 +41,7 @@ struct CompressionRun {
 
 // Sums data-block and index-block bytes over every .sst under
 // `base_dir/node*/`. The data region of a table is everything before the
-// filter blocks, which is exactly the footer's filter_offset in both
-// format versions.
+// filter blocks, which is exactly the footer's filter_offset.
 void SumBlockBytes(Env* env, const std::string& base_dir,
                    CompressionRun* run) {
   std::vector<std::string> nodes;

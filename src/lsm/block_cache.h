@@ -19,9 +19,10 @@ namespace apmbench::lsm {
 /// Lookup/Insert return a BlockHandle that *pins* the block in place:
 /// readers parse the cached bytes directly (zero-copy) and the entry
 /// cannot be evicted — though it stays charged — until the handle is
-/// destroyed. Index and bloom-filter blocks are pinned this way for a
-/// Table's whole lifetime, so they are cache-charged without per-table
-/// heap copies.
+/// destroyed. A Table pins its bloom-filter block this way for its whole
+/// lifetime, so the filter is cache-charged without a per-table heap
+/// copy. Index blocks are not cached: Table::Open materializes each index
+/// once into the table's own, uncharged buffer.
 ///
 /// Thread-safety: all methods are safe to call concurrently; the shards
 /// make concurrent Lookups on different blocks contention-free, and the

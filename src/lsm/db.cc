@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/logging.h"
+#include "lsm/row.h"
 
 namespace apmbench::lsm {
 
@@ -664,6 +665,10 @@ Status DB::Scan(
   std::shared_ptr<const ReadView> view = CurrentView();
   const uint64_t seq_limit = applied_seq_.load(std::memory_order_acquire);
 
+  // A range inside one row (an HBase Get) skips every table whose row
+  // filter rules that row out.
+  Slice row;
+  const bool one_row = RangeWithinOneRow(start, limit, &row);
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(view->mem->NewIterator(seq_limit));
   if (view->imm != nullptr) children.push_back(view->imm->NewIterator());
@@ -672,6 +677,7 @@ Status DB::Scan(
     // seeking it would still load a data block.
     if (Slice(ref.largest).Compare(start) < 0) continue;
     if (!limit.empty() && Slice(ref.smallest).Compare(limit) >= 0) continue;
+    if (one_row && !ref.table->MayContainRow(row)) continue;
     children.push_back(ref.table->NewIterator(read_options));
   }
   auto iter = NewDedupIterator(NewMergingIterator(std::move(children)),

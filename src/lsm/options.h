@@ -53,7 +53,8 @@ struct Options {
   /// cheaper. Clamped to >= 1.
   int block_restart_interval = 16;
 
-  /// Bloom filter bits per key in each SSTable (0 disables filters).
+  /// Bloom filter bits per row (see lsm/row.h; a key without a '\0' is
+  /// its own row) in each SSTable (0 disables filters).
   int bloom_bits_per_key = 10;
 
   /// Per-block compression of SSTable data blocks. The paper ran all

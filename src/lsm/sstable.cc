@@ -8,16 +8,18 @@
 #include "common/compression.h"
 #include "common/crc32.h"
 #include "lsm/bloom.h"
+#include "lsm/row.h"
 
 namespace apmbench::lsm {
 
 namespace {
 
 constexpr uint64_t kTableMagic = 0x41504d424e434832ull;  // "APMBNCH2"
-/// Reserved footer bytes between filter_sz and format_version; see the
+/// Reserved footer bytes between filter_sz and filter_kind; see the
 /// format comment in sstable.h.
-constexpr size_t kFooterReservedSize = 8 + 4 + 4;
-constexpr size_t kFooterSize = 8 + 4 + 8 + 4 + kFooterReservedSize + 4 + 8;
+constexpr size_t kFooterReservedSize = 8 + 4;
+constexpr size_t kFooterSize =
+    8 + 4 + 8 + 4 + kFooterReservedSize + 4 + 4 + 8;
 
 constexpr uint8_t kFlagTombstone = 0x1;
 
@@ -47,6 +49,9 @@ Status ParseFooter(const Slice& tail, const std::string& path,
   GetFixed64(&f, &out->filter_offset);
   GetFixed32(&f, &out->filter_size);
   f.RemovePrefix(kFooterReservedSize);
+  uint32_t filter_kind = 0;
+  GetFixed32(&f, &filter_kind);
+  out->row_filter = filter_kind == kRowFilterMarker;
   GetFixed32(&f, &out->format_version);
   if (out->format_version != kTableFormatV2) {
     return Status::Corruption("unsupported table format version " +
@@ -302,13 +307,18 @@ Status TableBuilder::Add(const Slice& key, const Slice& value, uint64_t seq,
   if (num_entries_ == 0) {
     smallest_key_ = key.ToString();
   }
+  // largest_key_ still holds the previous key.
+  const Slice row = RowOf(key);
+  if (filter_ != nullptr &&
+      (num_entries_ == 0 || RowOf(Slice(largest_key_)) != row)) {
+    filter_->AddKey(row);
+  }
   largest_key_ = key.ToString();
   payload_scratch_.clear();
   payload_scratch_.push_back(static_cast<char>(tombstone ? kFlagTombstone : 0));
   PutVarint64(&payload_scratch_, seq);
   payload_scratch_.append(value.data(), value.size());
   data_builder_.Add(key, Slice(payload_scratch_));
-  if (filter_ != nullptr) filter_->AddKey(key);
   num_entries_++;
   if (data_builder_.CurrentSizeEstimate() >= options_.block_size) {
     return FlushDataBlock();
@@ -378,11 +388,11 @@ Status TableBuilder::Finish() {
   PutFixed64(&footer, filter_offset);
   PutFixed32(&footer, static_cast<uint32_t>(filter_data.size()));
   // Reserved: an empty extent at the index (former prefix_filter_off,
-  // prefix_filter_sz, prefix_bloom_length), byte-identical to the tables
-  // earlier builds wrote without a prefix bloom.
+  // prefix_filter_sz), as earlier builds wrote without a prefix bloom.
+  // Then filter_kind (former prefix_bloom_length): this filter holds rows.
   PutFixed64(&footer, index_offset);
   PutFixed32(&footer, 0);
-  PutFixed32(&footer, 0);
+  PutFixed32(&footer, kRowFilterMarker);
   PutFixed32(&footer, kTableFormatV2);
   PutFixed64(&footer, kTableMagic);
   APM_RETURN_IF_ERROR(file_->Append(footer));
@@ -565,7 +575,8 @@ int Table::FindBlock(const Slice& key) const {
 Status Table::Get(const ReadOptions& read_options, const Slice& key,
                   GetResult* result, std::string* value, uint64_t* seq) {
   *result = GetResult::kAbsent;
-  if (!filter_.empty() && !BloomFilterMayMatch(filter_, key)) {
+  if (!filter_.empty() &&
+      !BloomFilterMayMatch(filter_, footer_.row_filter ? RowOf(key) : key)) {
     return Status::OK();
   }
   int block_index = FindBlock(key);
@@ -588,6 +599,11 @@ Status Table::Get(const ReadOptions& read_options, const Slice& key,
   }
   if (cursor.corrupt()) return Status::Corruption("corrupt data block");
   return Status::OK();
+}
+
+bool Table::MayContainRow(const Slice& row) const {
+  return !footer_.row_filter || filter_.empty() ||
+         BloomFilterMayMatch(filter_, row);
 }
 
 /// Iterator walking a table's blocks in order.

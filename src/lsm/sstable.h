@@ -28,18 +28,26 @@ namespace apmbench::lsm {
 /// `fixed64 offset, fixed32 span`. The footer is 52 bytes:
 ///
 ///   fixed64 index_off, fixed32 index_sz, fixed64 filter_off,
-///   fixed32 filter_sz, 16 reserved bytes, fixed32 format_version,
-///   fixed64 magic
+///   fixed32 filter_sz, 12 reserved bytes, fixed32 filter_kind,
+///   fixed32 format_version, fixed64 magic
 ///
-/// The 16 reserved bytes once described an optional prefix-bloom filter
-/// block (fixed64 prefix_filter_off, fixed32 prefix_filter_sz, fixed32
-/// prefix_bloom_length). The writer fills them with index_off, 0, 0, and
-/// the reader ignores them, so tables that still carry such a block open
-/// as before.
+/// The 12 reserved bytes and filter_kind once described an optional
+/// prefix-bloom filter block (fixed64 prefix_filter_off, fixed32
+/// prefix_filter_sz, fixed32 prefix_bloom_length). The writer fills the
+/// reserved bytes with index_off, 0 and the reader ignores them, so tables
+/// that still carry such a block open as before. filter_kind says what the
+/// bloom filter holds: kRowFilterMarker means one entry per row (see
+/// lsm/row.h), written by this build; any other value (0 from earlier
+/// writers, a prefix length from prefix-bloom writers) means whole keys,
+/// which Get checks as before and a one-row scan never consults.
 ///
 /// Each data block carries a 1-byte compression type plus a fixed32
 /// masked crc32c trailer.
 constexpr uint32_t kTableFormatV2 = 2;
+
+/// footer filter_kind of a table whose bloom filter holds rows: the bytes
+/// "ROWB".
+constexpr uint32_t kRowFilterMarker = 0x42574f52;
 
 /// Parsed table footer.
 struct TableFooter {
@@ -48,6 +56,9 @@ struct TableFooter {
   uint32_t index_size = 0;
   uint64_t filter_offset = 0;
   uint32_t filter_size = 0;
+  /// The filter holds rows, not whole keys (filter_kind ==
+  /// kRowFilterMarker).
+  bool row_filter = false;
 };
 
 /// Reads and validates the footer of the table at `path`. Fails with
@@ -157,7 +168,9 @@ class TableBuilder {
 
   Status Open();
 
-  /// Adds an entry; keys must arrive in strictly increasing order.
+  /// Adds an entry; keys must arrive in strictly increasing order. The
+  /// filter gets each distinct row once (a row's cells are adjacent),
+  /// tombstones included.
   Status Add(const Slice& key, const Slice& value, uint64_t seq,
              bool tombstone);
 
@@ -216,6 +229,10 @@ class Table {
   /// On kFound/kDeleted, `*seq` receives the entry's sequence number.
   Status Get(const ReadOptions& read_options, const Slice& key,
              GetResult* result, std::string* value, uint64_t* seq);
+
+  /// False only when the table's filter is a row filter that rules `row`
+  /// out; a whole-key filter, or none, never rules a row out.
+  bool MayContainRow(const Slice& row) const;
 
   /// Iterator over the full table. The Table must outlive it.
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& read_options);

@@ -6,6 +6,7 @@
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/hash.h"
+#include "lsm/row.h"
 
 namespace apmbench::stores {
 
@@ -42,17 +43,15 @@ bool DecodeCellValue(const Slice& cell_value, Slice* value) {
 
 /// Streams every cell of `row` to `visit` with one scan bounded by the
 /// row's end, the way HBase's Get is a scan whose stop row is the row
-/// itself. Cell keys are row + '\0' + family + ':' + qualifier, so
-/// [row + '\0', row + '\x01') holds exactly this row's cells, however many
-/// there are.
+/// itself. A cell's lsm row (lsm/row.h) is its HBase row, so
+/// [RowStart, RowLimit) holds exactly this row's cells, however many
+/// there are, and the scan skips every table whose row bloom rules the
+/// row out (HBase's BloomType.ROW).
 Status ScanRowCells(
     lsm::DB* db, const Slice& row,
     const std::function<bool(const Slice& key, const Slice& value)>& visit) {
-  std::string start = row.ToString();
-  start.push_back('\0');
-  std::string limit = row.ToString();
-  limit.push_back('\x01');
-  return db->Scan(lsm::ReadOptions(), Slice(start), Slice(limit), visit);
+  return db->Scan(lsm::ReadOptions(), Slice(lsm::RowStart(row)),
+                  Slice(lsm::RowLimit(row)), visit);
 }
 
 /// Default pre-split sample: the YCSB key space ("user" + FNV-hashed
@@ -75,8 +74,7 @@ std::vector<std::string> DefaultSplitSample() {
 }  // namespace
 
 std::string HBaseStore::CellKey(const Slice& row, const Slice& qualifier) {
-  std::string key = row.ToString();
-  key.push_back('\0');
+  std::string key = lsm::RowStart(row);
   key.append(kFamily);
   key.push_back(':');
   key.append(qualifier.data(), qualifier.size());
@@ -85,13 +83,10 @@ std::string HBaseStore::CellKey(const Slice& row, const Slice& qualifier) {
 
 bool HBaseStore::ParseCellKey(const Slice& cell_key, Slice* row,
                               Slice* qualifier) {
-  const char* sep = static_cast<const char*>(
-      memchr(cell_key.data(), '\0', cell_key.size()));
-  if (sep == nullptr) return false;
-  size_t row_len = static_cast<size_t>(sep - cell_key.data());
-  *row = Slice(cell_key.data(), row_len);
+  *row = lsm::RowOf(cell_key);
+  if (row->size() == cell_key.size()) return false;  // no column
   // Skip '\0' + family + ':'.
-  size_t prefix = row_len + 1 + sizeof(kFamily) - 1 + 1;
+  size_t prefix = row->size() + 1 + sizeof(kFamily) - 1 + 1;
   if (cell_key.size() < prefix) return false;
   *qualifier = Slice(cell_key.data() + prefix, cell_key.size() - prefix);
   return true;

@@ -47,8 +47,8 @@ class HBaseStore final : public ycsb::DB {
   Status VerifyIntegrity();
   const cluster::RegionMap& regions() const { return regions_; }
 
-  /// Cell key layout: row + '\0' + family ':' qualifier. Exposed for
-  /// tests.
+  /// Cell key layout: row + '\0' + family ':' qualifier, so the cell's
+  /// lsm row (lsm/row.h) is its HBase row. Exposed for tests.
   static std::string CellKey(const Slice& row, const Slice& qualifier);
   /// Splits a cell key back into (row, qualifier); false if malformed.
   static bool ParseCellKey(const Slice& cell_key, Slice* row,

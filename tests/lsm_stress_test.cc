@@ -10,6 +10,12 @@
 // written by one WriteBatch are visible atomically (both or neither,
 // with equal versions).
 //
+// The row-cell variant writes HBase-style cell keys (row + '\0' +
+// qualifier) a whole row per WriteBatch, and its readers make one-row
+// scans, which skip every table whose row filter rules the row out; each
+// scan must show the row as the last write completed before it began
+// left it, or as a later write did.
+//
 // The binary has its own main() so CI can bound it: --fast shrinks the
 // op counts for sanitizer runs, --seed=N reseeds the generators for
 // reproduction.
@@ -22,6 +28,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <set>
@@ -31,6 +38,7 @@
 
 #include "common/env.h"
 #include "lsm/db.h"
+#include "lsm/row.h"
 
 namespace apmbench {
 namespace {
@@ -283,24 +291,207 @@ void VerifyAgainstModel(lsm::DB* db,
   EXPECT_EQ(scanned, live.size());
 }
 
-void RunStress(lsm::Options options, const std::string& tag) {
+// --- row cells ---------------------------------------------------------------
+
+constexpr int kRowsPerWriter = 32;
+constexpr int kCellsPerRow = 3;
+
+std::string RowName(int writer, int row) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "w%d.r%04d", writer, row);
+  return buf;
+}
+
+std::string RowCell(const std::string& row, int qualifier) {
+  return lsm::RowStart(row) + "q" + std::to_string(qualifier);
+}
+
+std::string RowValue(const std::string& row, int version) {
+  char buf[96];
+  snprintf(buf, sizeof(buf), "r:%s:%06d", row.c_str(), version);
+  return buf;
+}
+
+/// One writer's rows as readers may check them: every write ever started
+/// on each row, and the last one that completed.
+struct RowHistory {
+  std::mutex mu;
+  /// Per row: version -> true for a put, false for a delete. A write is
+  /// recorded before it is applied.
+  std::map<int, bool> writes[kRowsPerWriter];
+  /// Per row: version of the last completed write, 0 for none.
+  std::atomic<int> done[kRowsPerWriter] = {};
+};
+
+/// Puts or deletes whole rows, one WriteBatch per row; every cell of a put
+/// carries the write's version (op + 1).
+void RowWriterThread(lsm::DB* db, int id, uint32_t seed, WriterModel* model,
+                     RowHistory* history, std::atomic<bool>* failed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> op_dist(0, 99);
+  std::uniform_int_distribution<int> row_dist(0, kRowsPerWriter - 1);
+  const int ops = OpsPerWriter();
+  for (int op = 0; op < ops && !failed->load(); op++) {
+    const int r = row_dist(rng);
+    const std::string row = RowName(id, r);
+    const int version = op + 1;
+    const bool put = op_dist(rng) < 75;
+    {
+      std::lock_guard<std::mutex> lock(history->mu);
+      history->writes[r][version] = put;
+    }
+    lsm::WriteBatch batch;
+    for (int q = 0; q < kCellsPerRow; q++) {
+      if (put) {
+        batch.Put(RowCell(row, q), RowValue(row, version));
+      } else {
+        batch.Delete(RowCell(row, q));
+      }
+    }
+    Status s = db->Write(batch);
+    if (!s.ok()) {
+      ADD_FAILURE() << "row writer " << id << " op " << op
+                    << " failed: " << s.ToString();
+      failed->store(true);
+      return;
+    }
+    history->done[r].store(version);
+    for (int q = 0; q < kCellsPerRow; q++) {
+      const std::string cell = RowCell(row, q);
+      if (put) {
+        model->live[cell] = RowValue(row, version);
+      } else {
+        model->live.erase(cell);
+      }
+      model->touched.insert(cell);
+    }
+  }
+}
+
+/// Reads `row` with one one-row scan. Returns false (and reports) unless
+/// it holds all kCellsPerRow cells of one version, or none; `*version`
+/// receives that version, or 0 for none.
+bool ScanRow(lsm::DB* db, const std::string& row, int* version) {
+  std::vector<std::pair<std::string, std::string>> cells;
+  Status s = db->Scan(lsm::ReadOptions(), lsm::RowStart(row),
+                      lsm::RowLimit(row), kCellsPerRow + 1, &cells);
+  if (!s.ok()) {
+    ADD_FAILURE() << "row scan of " << row << " failed: " << s.ToString();
+    return false;
+  }
+  *version = 0;
+  if (cells.empty()) return true;
+  const std::string prefix = "r:" + row + ":";
+  if (cells.size() != static_cast<size_t>(kCellsPerRow) ||
+      cells[0].second.compare(0, prefix.size(), prefix) != 0) {
+    ADD_FAILURE() << "row " << row << " read " << cells.size()
+                  << " cells, first value \"" << cells[0].second << "\"";
+    return false;
+  }
+  for (int q = 0; q < kCellsPerRow; q++) {
+    if (cells[q].first != RowCell(row, q) ||
+        cells[q].second != cells[0].second) {
+      ADD_FAILURE() << "row " << row << " is torn at cell " << q;
+      return false;
+    }
+  }
+  *version = std::atoi(cells[0].second.c_str() + prefix.size());
+  return true;
+}
+
+/// Readers race the row writers with one-row scans, checked against the
+/// writer's history.
+void RowReaderThread(lsm::DB* db, std::vector<RowHistory>* histories,
+                     uint32_t seed, std::atomic<bool>* stop,
+                     std::atomic<bool>* failed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> writer_dist(0, kNumWriters - 1);
+  std::uniform_int_distribution<int> row_dist(0, kRowsPerWriter - 1);
+  while (!stop->load() && !failed->load()) {
+    const int w = writer_dist(rng);
+    const int r = row_dist(rng);
+    const std::string row = RowName(w, r);
+    RowHistory& history = (*histories)[w];
+    const int floor = history.done[r].load();
+    int version = 0;
+    if (!ScanRow(db, row, &version)) {
+      failed->store(true);
+      return;
+    }
+    // The scan shows the write at `floor` or a later one: a put of
+    // `version`, or (none read) a delete, or nothing written yet.
+    std::lock_guard<std::mutex> lock(history.mu);
+    const std::map<int, bool>& writes = history.writes[r];
+    bool consistent;
+    if (version > 0) {
+      auto it = writes.find(version);
+      consistent = version >= floor && it != writes.end() && it->second;
+    } else {
+      consistent = floor == 0;
+      for (auto it = writes.lower_bound(floor); it != writes.end(); ++it) {
+        if (!it->second) consistent = true;
+      }
+    }
+    if (!consistent) {
+      ADD_FAILURE() << "row " << row << " read version " << version
+                    << " after write " << floor << " completed";
+      failed->store(true);
+      return;
+    }
+  }
+}
+
+/// Every row's one-row scan agrees with the merged writer models.
+void VerifyRowsAgainstModel(lsm::DB* db,
+                            const std::vector<WriterModel>& models) {
+  for (int w = 0; w < kNumWriters; w++) {
+    for (int r = 0; r < kRowsPerWriter; r++) {
+      const std::string row = RowName(w, r);
+      int version = 0;
+      ASSERT_TRUE(ScanRow(db, row, &version));
+      auto it = models[w].live.find(RowCell(row, 0));
+      if (it == models[w].live.end()) {
+        EXPECT_EQ(version, 0) << "deleted row " << row << " resurrected";
+      } else {
+        EXPECT_EQ(RowValue(row, version), it->second) << "stale row " << row;
+      }
+    }
+  }
+}
+
+enum class Keys { kPlainAndPairs, kRowCells };
+
+void RunStress(lsm::Options options, const std::string& tag,
+               Keys keys = Keys::kPlainAndPairs) {
   ScopedTempDir dir(tag);
   options.dir = dir.path();
   std::unique_ptr<lsm::DB> db;
   ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
 
+  const bool rows = keys == Keys::kRowCells;
   std::vector<WriterModel> models(kNumWriters);
+  std::vector<RowHistory> histories(rows ? kNumWriters : 0);
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::vector<std::thread> writers;
   for (int i = 0; i < kNumWriters; i++) {
-    writers.emplace_back(WriterThread, db.get(), i, g_seed * 97 + i,
-                         &models[i], &failed);
+    if (rows) {
+      writers.emplace_back(RowWriterThread, db.get(), i, g_seed * 97 + i,
+                           &models[i], &histories[i], &failed);
+    } else {
+      writers.emplace_back(WriterThread, db.get(), i, g_seed * 97 + i,
+                           &models[i], &failed);
+    }
   }
   std::vector<std::thread> readers;
   for (int i = 0; i < kNumReaders; i++) {
-    readers.emplace_back(ReaderThread, db.get(), g_seed * 131 + i, &stop,
-                         &failed);
+    if (rows) {
+      readers.emplace_back(RowReaderThread, db.get(), &histories,
+                           g_seed * 131 + i, &stop, &failed);
+    } else {
+      readers.emplace_back(ReaderThread, db.get(), g_seed * 131 + i, &stop,
+                           &failed);
+    }
   }
   std::thread scanner(ScannerThread, db.get(), &stop, &failed);
 
@@ -316,6 +507,7 @@ void RunStress(lsm::Options options, const std::string& tag) {
   ASSERT_TRUE(db->Flush().ok());
   EXPECT_TRUE(CheckSnapshot(db.get()));
   VerifyAgainstModel(db.get(), models);
+  if (rows) VerifyRowsAgainstModel(db.get(), models);
   lsm::DB::Stats stats = db->GetStats();
   EXPECT_GT(stats.num_flushes, 0u);
   EXPECT_GT(stats.num_compactions, 0u);
@@ -325,6 +517,7 @@ void RunStress(lsm::Options options, const std::string& tag) {
 
   ASSERT_TRUE(lsm::DB::Open(options, &db).ok());
   VerifyAgainstModel(db.get(), models);
+  if (rows) VerifyRowsAgainstModel(db.get(), models);
   ASSERT_TRUE(db->VerifyIntegrity().ok());
   ASSERT_TRUE(db->Close().ok());
 }
@@ -387,6 +580,17 @@ TEST(LsmStressTest, LeveledDefaultLevelSizes) {
   options.compaction_style = lsm::CompactionStyle::kLeveled;
   options.level0_compaction_trigger = 3;
   RunStress(options, "stress-leveled-default");
+}
+
+TEST(LsmStressTest, LeveledRowCells) {
+  // Whole-row batches of cell keys under one-row scans, while flushes
+  // and multi-level compactions (whose outputs may split a row between
+  // tables) replace the tables those scans skip or read.
+  lsm::Options options = StressOptions();
+  options.compaction_style = lsm::CompactionStyle::kLeveled;
+  options.level0_compaction_trigger = 3;
+  options.level1_max_bytes = 64 * 1024;
+  RunStress(options, "stress-row-cells", Keys::kRowCells);
 }
 
 TEST(LsmStressTest, LeveledSyncWrites) {

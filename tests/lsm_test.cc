@@ -17,6 +17,7 @@
 #include "lsm/block_cache.h"
 #include "lsm/db.h"
 #include "lsm/memtable.h"
+#include "lsm/row.h"
 #include "lsm/sstable.h"
 #include "lsm/wal.h"
 #include "tests/test_util.h"
@@ -671,6 +672,7 @@ constexpr size_t kIndexSizeAt = 8;
 constexpr size_t kFilterOffsetAt = 12;
 constexpr size_t kFilterSizeAt = 20;
 constexpr size_t kReservedAt = 24;
+constexpr size_t kFilterKindAt = 36;
 
 /// Builds a small multi-block table at `path` and returns its bytes.
 std::string BuildTableBytes(const Options& options, const std::string& path) {
@@ -694,14 +696,123 @@ void PatchFixed32(std::string* data, size_t at, uint32_t value) {
 }
 
 TEST_F(SSTableTest, WriterFillsReservedFooterFieldsAsEmptyExtent) {
-  const std::string data =
-      BuildTableBytes(options_, dir_.path() + "/reserved.sst");
+  const std::string path = dir_.path() + "/reserved.sst";
+  const std::string data = BuildTableBytes(options_, path);
   const size_t footer = data.size() - kFooterBytes;
-  // index_off, 0, 0: what earlier builds wrote with no prefix bloom.
+  // index_off, 0: the empty extent earlier builds wrote with no prefix
+  // bloom; then filter_kind, which marks a row filter.
   EXPECT_EQ(DecodeFixed64(data.data() + footer + kReservedAt),
             DecodeFixed64(data.data() + footer));
   EXPECT_EQ(DecodeFixed32(data.data() + footer + kReservedAt + 8), 0u);
-  EXPECT_EQ(DecodeFixed32(data.data() + footer + kReservedAt + 12), 0u);
+  EXPECT_EQ(DecodeFixed32(data.data() + footer + kFilterKindAt),
+            kRowFilterMarker);
+  TableFooter parsed;
+  ASSERT_TRUE(ReadTableFooter(Env::Default(), path, &parsed).ok());
+  EXPECT_TRUE(parsed.row_filter);
+
+  // Any other filter_kind (0 from earlier builds, a prefix length from
+  // prefix-bloom builds) reads as a whole-key filter.
+  for (uint32_t kind : {0u, 8u}) {
+    std::string earlier = data;
+    PatchFixed32(&earlier, footer + kFilterKindAt, kind);
+    const std::string earlier_path =
+        dir_.path() + "/kind" + std::to_string(kind) + ".sst";
+    ASSERT_TRUE(Env::Default()
+                    ->WriteStringToFile(earlier_path, Slice(earlier))
+                    .ok());
+    ASSERT_TRUE(ReadTableFooter(Env::Default(), earlier_path, &parsed).ok());
+    EXPECT_FALSE(parsed.row_filter) << kind;
+  }
+}
+
+/// The filter block of the table at `path`.
+std::string FilterBlock(const std::string& path) {
+  std::string data;
+  EXPECT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
+  TableFooter footer;
+  EXPECT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
+  return data.substr(footer.filter_offset, footer.filter_size);
+}
+
+// The filter gets each distinct row once, tombstones included; keys
+// without a '\0' are their own rows, so their filter is the whole-key
+// filter bit for bit.
+TEST_F(SSTableTest, FilterHoldsEachRowOnce) {
+  BloomFilterBuilder rows(options_.bloom_bits_per_key);
+  const std::string cells_path = dir_.path() + "/cells.sst";
+  {
+    TableBuilder builder(options_, Env::Default(), cells_path);
+    ASSERT_TRUE(builder.Open().ok());
+    for (int r = 0; r < 50; r++) {
+      char row[16];
+      snprintf(row, sizeof(row), "row%03d", r);
+      rows.AddKey(row);
+      for (int q = 0; q < 5; q++) {
+        const std::string key = RowStart(row) + "f:q" + std::to_string(q);
+        ASSERT_TRUE(builder.Add(key, "v", 1, /*tombstone=*/r % 7 == 0).ok());
+      }
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+  }
+  EXPECT_EQ(FilterBlock(cells_path), rows.Finish());
+
+  BloomFilterBuilder keys(options_.bloom_bits_per_key);
+  const std::string plain_path = dir_.path() + "/plain.sst";
+  {
+    TableBuilder builder(options_, Env::Default(), plain_path);
+    ASSERT_TRUE(builder.Open().ok());
+    for (int i = 0; i < 250; i++) {
+      char key[16];
+      snprintf(key, sizeof(key), "user%05d", i);
+      keys.AddKey(key);
+      ASSERT_TRUE(builder.Add(key, "v", 1, false).ok());
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+  }
+  EXPECT_EQ(FilterBlock(plain_path), keys.Finish());
+
+  // Get checks a cell key's row against the row filter.
+  BlockCache cache(1 << 20);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(
+      Table::Open(options_, Env::Default(), cells_path, 3, &cache, &table)
+          .ok());
+  Table::GetResult result;
+  std::string value;
+  ASSERT_TRUE(table->Get(ReadOptions(), RowStart("row001") + "f:q3", &result,
+                         &value, nullptr)
+                  .ok());
+  EXPECT_EQ(result, Table::GetResult::kFound);
+  ASSERT_TRUE(table->Get(ReadOptions(), RowStart("row007") + "f:q0", &result,
+                         &value, nullptr)
+                  .ok());
+  EXPECT_EQ(result, Table::GetResult::kDeleted);
+  EXPECT_TRUE(table->MayContainRow("row001"));
+  EXPECT_TRUE(table->MayContainRow("row007"));
+}
+
+TEST(RowTest, RowOfAndOneRowRanges) {
+  EXPECT_EQ(RowOf("user1"), Slice("user1"));
+  EXPECT_EQ(RowOf(RowStart("user1") + "f:a"), Slice("user1"));
+  EXPECT_EQ(RowOf(Slice("\0x", 2)), Slice());
+
+  Slice row;
+  const std::string start = RowStart("user1");
+  const std::string limit = RowLimit("user1");
+  ASSERT_TRUE(RangeWithinOneRow(start, limit, &row));
+  EXPECT_EQ(row, Slice("user1"));
+  EXPECT_TRUE(RangeWithinOneRow(start + "f:b", RowStart("user1") + "f:c",
+                                &row));
+  // Ranges that may reach a second row.
+  EXPECT_FALSE(RangeWithinOneRow("user1", limit, &row));     // no '\0'
+  EXPECT_FALSE(RangeWithinOneRow(start, Slice(), &row));     // unbounded
+  EXPECT_FALSE(RangeWithinOneRow(start, limit + "x", &row));
+  EXPECT_FALSE(RangeWithinOneRow(start, "user1x", &row));
+  EXPECT_FALSE(RangeWithinOneRow(start, "user2", &row));
+  EXPECT_FALSE(RangeWithinOneRow(start, RowLimit("user10"), &row));
+  // Empty ranges (limit <= start) hold no second row either.
+  EXPECT_TRUE(RangeWithinOneRow(start, "user1", &row));
+  EXPECT_TRUE(RangeWithinOneRow(start, "user0", &row));
 }
 
 // Table::Open validates every extent it reads from the file before
@@ -969,6 +1080,147 @@ TEST_F(DBTest, BoundedScanReadsOnlyBlocksInRange) {
                                                              "value100")));
   // One block of the d table and one of the tombstone table.
   EXPECT_EQ(lookups() - before, 2u);
+}
+
+/// Cell key `row` + '\0' + "f:q<q>".
+std::string Cell(const std::string& row, int q) {
+  return RowStart(row) + "f:q" + std::to_string(q);
+}
+
+std::string RowName(int r) {
+  char buf[16];
+  snprintf(buf, sizeof(buf), "row%03d", r);
+  return buf;
+}
+
+/// The cells of `row` in `db`, read with one one-row scan.
+std::vector<std::pair<std::string, std::string>> ReadRow(
+    DB* db, const std::string& row) {
+  std::vector<std::pair<std::string, std::string>> out;
+  EXPECT_TRUE(
+      db->Scan(ReadOptions(), RowStart(row), RowLimit(row), 1000, &out).ok());
+  return out;
+}
+
+/// The cells of `row` in `model`.
+std::vector<std::pair<std::string, std::string>> ModelRow(
+    const std::map<std::string, std::string>& model, const std::string& row) {
+  return {model.lower_bound(RowStart(row)), model.lower_bound(RowLimit(row))};
+}
+
+// A one-row scan opens only the tables whose row filter admits the row.
+// The three tables hold disjoint, interleaved rows, so every table's key
+// range spans every row and only the filter tells them apart. Each table
+// is one data block, so the owning table costs one block-cache lookup,
+// and another table costs one only where its filter (rebuilt here bit for
+// bit, see FilterHoldsEachRowOnce) gives a false positive.
+TEST_F(DBTest, OneRowScanReadsOnlyTheTableHoldingTheRow) {
+  options_.memtable_bytes = 1 << 20;     // only explicit flushes
+  options_.size_tiered_min_files = 16;   // keep every flushed table apart
+  options_.block_size = 64 * 1024;
+  Open();
+  auto lookups = [this] {
+    DB::Stats stats = db_->GetStats();
+    return stats.cache_hits + stats.cache_misses;
+  };
+  constexpr int kRows = 60;
+  std::map<std::string, std::string> model;
+  std::vector<std::string> filters;
+  for (int t = 0; t < 3; t++) {
+    BloomFilterBuilder filter(options_.bloom_bits_per_key);
+    for (int r = t; r < kRows; r += 3) {
+      filter.AddKey(RowName(r));
+      for (int q = 0; q < 4; q++) {
+        const std::string value = "v" + std::to_string(r * 10 + q);
+        ASSERT_TRUE(db_->Put(Cell(RowName(r), q), value).ok());
+        model[Cell(RowName(r), q)] = value;
+      }
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    filters.push_back(filter.Finish());
+  }
+  ASSERT_EQ(db_->GetStats().files_per_level[0], 3);
+  // Filters other than table `owner`'s that admit `row`.
+  auto false_positives = [&](const std::string& row, int owner) {
+    uint64_t n = 0;
+    for (int t = 0; t < 3; t++) {
+      if (t != owner && BloomFilterMayMatch(filters[t], row)) n++;
+    }
+    return n;
+  };
+
+  uint64_t total_false_positives = 0;
+  for (int r = 0; r < kRows; r++) {
+    const std::string row = RowName(r);
+    uint64_t before = lookups();
+    EXPECT_EQ(ReadRow(db_.get(), row), ModelRow(model, row));
+    EXPECT_EQ(lookups() - before, 1 + false_positives(row, r % 3)) << row;
+    total_false_positives += false_positives(row, r % 3);
+    // A row no table holds, inside every table's key range.
+    if (r < 3 || r >= kRows - 3) continue;
+    const std::string absent = row + "x";
+    before = lookups();
+    EXPECT_TRUE(ReadRow(db_.get(), absent).empty());
+    EXPECT_EQ(lookups() - before, false_positives(absent, -1)) << absent;
+    total_false_positives += false_positives(absent, -1);
+  }
+  EXPECT_LT(total_false_positives, 10u);
+  // A scan that may cross rows still reads every table.
+  std::vector<std::pair<std::string, std::string>> out;
+  ASSERT_TRUE(db_->Scan(ReadOptions(), RowStart(RowName(4)),
+                        RowLimit(RowName(6)), 100, &out)
+                  .ok());
+  EXPECT_EQ(out.size(), 12u);
+}
+
+// Row reads under the filter skip: a row split between a table and the
+// memtable, a row deleted by tombstones in a newer table, and rows whose
+// names extend one another in different tables.
+TEST_F(DBTest, OneRowScansAcrossTablesMatchTheModel) {
+  options_.memtable_bytes = 1 << 20;
+  options_.size_tiered_min_files = 16;
+  Open();
+  std::map<std::string, std::string> model;
+  auto put = [&](const std::string& row, int q, const std::string& value) {
+    ASSERT_TRUE(db_->Put(Cell(row, q), value).ok());
+    model[Cell(row, q)] = value;
+  };
+  auto del = [&](const std::string& row, int q) {
+    ASSERT_TRUE(db_->Delete(Cell(row, q)).ok());
+    model.erase(Cell(row, q));
+  };
+  for (int q = 0; q < 3; q++) put("split", q, "old");
+  for (int q = 0; q < 3; q++) put("doomed", q, "old");
+  put("user1x", 0, "x");
+  ASSERT_TRUE(db_->Flush().ok());
+  for (int q = 0; q < 3; q++) del("doomed", q);
+  put("user10", 0, "ten");
+  ASSERT_TRUE(db_->Flush().ok());
+  put("user1", 0, "one");
+  ASSERT_TRUE(db_->Flush().ok());
+  put("split", 1, "new");
+  put("split", 3, "new");
+
+  auto check = [&]() {
+    for (const char* row : {"split", "doomed", "user1", "user1x", "user10",
+                            "user", "user2"}) {
+      EXPECT_EQ(ReadRow(db_.get(), row), ModelRow(model, row)) << row;
+    }
+    for (const auto& [key, value] : model) {
+      std::string got;
+      ASSERT_TRUE(db_->Get(ReadOptions(), key, &got).ok());
+      EXPECT_EQ(got, value);
+    }
+    std::string got;
+    EXPECT_TRUE(db_->Get(ReadOptions(), Cell("doomed", 1), &got).IsNotFound());
+  };
+  ASSERT_EQ(ModelRow(model, "split").size(), 4u);
+  EXPECT_TRUE(ModelRow(model, "doomed").empty());
+  check();
+  Reopen();
+  check();
+  ASSERT_TRUE(db_->CompactAll().ok());
+  check();
 }
 
 // The streaming Scan over a DB holding a live memtable, an immutable
@@ -1875,86 +2127,171 @@ TEST(SnapshotIteratorTest, SpansMemtableAndTables) {
   EXPECT_EQ(seen["inmem"], "2");
 }
 
-// Tables written by builds that supported prefix blooms carry a prefix
-// filter block between the bloom filter and the index, described by the
-// footer's now-reserved fields. This build ignores those fields; such a
-// database must open, read, scan and compact as before.
-TEST_F(DBTest, OpensTablesCarryingAPrefixFilterBlock) {
-  Open();
+/// Rewrites every table in `options.dir` the way an earlier build laid it
+/// out: data blocks, a bloom filter over whole keys (tombstones
+/// included), then, when `prefix_bloom_length` > 0, a prefix filter block
+/// named by the reserved footer fields, then the index and a footer whose
+/// filter_kind is `prefix_bloom_length`. With 0 the reserved fields are
+/// index_off, 0, 0, as the last build before row filters wrote them.
+/// Data-block offsets do not move. Returns the number of tables.
+int RewriteTablesAsEarlierBuild(const Options& options,
+                                uint32_t prefix_bloom_length) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(Env::Default()->GetChildren(options.dir, &children).ok());
+  int rewritten = 0;
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
+    const std::string path = options.dir + "/" + name;
+    BloomFilterBuilder whole_keys(options.bloom_bits_per_key);
+    {
+      std::unique_ptr<Table> table;
+      EXPECT_TRUE(
+          Table::Open(options, Env::Default(), path, 1, nullptr, &table).ok());
+      if (table == nullptr) return rewritten;
+      std::unique_ptr<Iterator> iter = table->NewIterator(ReadOptions());
+      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+        whole_keys.AddKey(iter->key());
+      }
+      EXPECT_TRUE(iter->status().ok());
+    }
+    std::string data;
+    EXPECT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
+    TableFooter footer;
+    EXPECT_TRUE(ReadTableFooter(Env::Default(), path, &footer).ok());
+    EXPECT_GT(footer.filter_size, 0u);
+
+    std::string old_layout = data.substr(0, footer.filter_offset);
+    const std::string filter = whole_keys.Finish();
+    old_layout += filter;
+    const uint64_t prefix_off = old_layout.size();
+    if (prefix_bloom_length > 0) {
+      BloomFilterBuilder prefix_filter(10);
+      prefix_filter.AddKey("grp00/00");
+      old_layout += prefix_filter.Finish();
+    }
+    const uint64_t index_off = old_layout.size();
+    old_layout += data.substr(footer.index_offset, footer.index_size);
+    PutFixed64(&old_layout, index_off);
+    PutFixed32(&old_layout, footer.index_size);
+    PutFixed64(&old_layout, footer.filter_offset);
+    PutFixed32(&old_layout, static_cast<uint32_t>(filter.size()));
+    PutFixed64(&old_layout, prefix_bloom_length > 0 ? prefix_off : index_off);
+    PutFixed32(&old_layout, static_cast<uint32_t>(index_off - prefix_off));
+    PutFixed32(&old_layout, prefix_bloom_length);
+    old_layout += data.substr(data.size() - 12);  // format_version, magic
+    EXPECT_TRUE(
+        Env::Default()->WriteStringToFile(path, Slice(old_layout)).ok());
+    rewritten++;
+  }
+  return rewritten;
+}
+
+/// Number of tables in `dir` whose footer marks a row filter, and of all
+/// tables.
+std::pair<int, int> RowMarkedTables(const std::string& dir) {
+  std::vector<std::string> children;
+  EXPECT_TRUE(Env::Default()->GetChildren(dir, &children).ok());
+  std::pair<int, int> counts{0, 0};
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
+    TableFooter footer;
+    EXPECT_TRUE(ReadTableFooter(Env::Default(), dir + "/" + name, &footer).ok());
+    if (footer.row_filter) counts.first++;
+    counts.second++;
+  }
+  return counts;
+}
+
+/// Writes plain keys and the cells of 30 rows (row005 deleted by
+/// tombstones in a later table) into a database in `options.dir`,
+/// rewrites its tables as an earlier build with `prefix_bloom_length`
+/// wrote them, and checks that Get, full scans, prefix-crossing scans and
+/// one-row scans read them correctly, before and after compaction turns
+/// them into row-marked tables.
+void CheckTablesOfAnEarlierBuild(const Options& options,
+                                 uint32_t prefix_bloom_length) {
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, &db).ok());
   std::map<std::string, std::string> model;
   for (int i = 0; i < 600; i++) {
     char key[16];
     snprintf(key, sizeof(key), "grp%02d/%04d", i % 7, i);
     const std::string value = "v" + std::to_string(i);
-    ASSERT_TRUE(db_->Put(key, value).ok());
+    ASSERT_TRUE(db->Put(key, value).ok());
     model[key] = value;
   }
-  ASSERT_TRUE(db_->Flush().ok());
-  ASSERT_TRUE(db_->Close().ok());
-  db_.reset();
-
-  // Rewrite every table the way a prefix-bloom writer laid it out:
-  // data | filter | prefix filter | index | footer, with the reserved
-  // footer fields naming the new block and a prefix length of 8.
-  // Data-block offsets do not move.
-  std::vector<std::string> children;
-  ASSERT_TRUE(Env::Default()->GetChildren(dir_.path(), &children).ok());
-  int rewritten = 0;
-  for (const std::string& name : children) {
-    if (name.size() < 4 || name.substr(name.size() - 4) != ".sst") continue;
-    const std::string path = dir_.path() + "/" + name;
-    std::string data;
-    ASSERT_TRUE(Env::Default()->ReadFileToString(path, &data).ok());
-    ASSERT_GE(data.size(), kFooterBytes);
-    const size_t footer_at = data.size() - kFooterBytes;
-    const uint64_t index_off = DecodeFixed64(data.data() + footer_at);
-    const uint32_t filter_sz =
-        DecodeFixed32(data.data() + footer_at + kFilterSizeAt);
-    ASSERT_GT(filter_sz, 0u);
-    BloomFilterBuilder prefix_filter(10);
-    prefix_filter.AddKey("grp00/00");
-    const std::string prefix_block = prefix_filter.Finish();
-
-    std::string old_layout = data.substr(0, index_off);  // data + filter
-    old_layout += prefix_block;
-    old_layout += data.substr(index_off, footer_at - index_off);  // index
-    std::string footer = data.substr(footer_at);
-    std::string fields;
-    PutFixed64(&fields, index_off + prefix_block.size());
-    footer.replace(0, 8, fields);
-    fields.clear();
-    PutFixed64(&fields, index_off);
-    PutFixed32(&fields, static_cast<uint32_t>(prefix_block.size()));
-    PutFixed32(&fields, 8);
-    footer.replace(kReservedAt, 16, fields);
-    old_layout += footer;
-    ASSERT_TRUE(
-        Env::Default()->WriteStringToFile(path, Slice(old_layout)).ok());
-    rewritten++;
+  ASSERT_TRUE(db->Flush().ok());
+  for (int t = 0; t < 3; t++) {
+    for (int r = t; r < 30; r += 3) {
+      for (int q = 0; q < 3; q++) {
+        const std::string value = "c" + std::to_string(r * 10 + q);
+        ASSERT_TRUE(db->Put(Cell(RowName(r), q), value).ok());
+        model[Cell(RowName(r), q)] = value;
+      }
+    }
+    ASSERT_TRUE(db->Flush().ok());
   }
-  ASSERT_GT(rewritten, 0);
+  for (int q = 0; q < 3; q++) {
+    ASSERT_TRUE(db->Delete(Cell(RowName(5), q)).ok());
+    model.erase(Cell(RowName(5), q));
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->Close().ok());
+  db.reset();
+
+  ASSERT_GT(RewriteTablesAsEarlierBuild(options, prefix_bloom_length), 0);
+  EXPECT_EQ(RowMarkedTables(options.dir).first, 0);
 
   auto check_contents = [&]() {
     for (const auto& [key, value] : model) {
       std::string got;
-      ASSERT_TRUE(db_->Get(ReadOptions(), key, &got).ok()) << key;
+      ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
       EXPECT_EQ(got, value);
     }
+    std::string got;
+    EXPECT_TRUE(db->Get(ReadOptions(), Cell(RowName(5), 0), &got).IsNotFound());
     std::vector<std::pair<std::string, std::string>> rows;
-    ASSERT_TRUE(db_->Scan(ReadOptions(), "", 10000, &rows).ok());
+    ASSERT_TRUE(db->Scan(ReadOptions(), "", 10000, &rows).ok());
     const std::vector<std::pair<std::string, std::string>> expected(
         model.begin(), model.end());
     EXPECT_EQ(rows, expected);
     // A scan starting inside one prefix runs on past it.
-    ASSERT_TRUE(db_->Scan(ReadOptions(), "grp03/", 100, &rows).ok());
+    ASSERT_TRUE(db->Scan(ReadOptions(), "grp03/", 100, &rows).ok());
     ASSERT_EQ(rows.size(), 100u);
     EXPECT_EQ(rows.back().first.substr(0, 5), "grp04");
+    for (int r = 0; r < 32; r++) {
+      EXPECT_EQ(ReadRow(db.get(), RowName(r)), ModelRow(model, RowName(r)))
+          << RowName(r);
+    }
   };
-  Open();
+  ASSERT_TRUE(DB::Open(options, &db).ok());
   check_contents();
-  ASSERT_TRUE(db_->CompactAll().ok());
-  EXPECT_TRUE(db_->VerifyIntegrity().ok());
+  ASSERT_TRUE(db->CompactAll().ok());
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
   check_contents();
+  // After a reopen (which drops the compacted-away files) every table is
+  // one the compaction wrote.
+  ASSERT_TRUE(db->Close().ok());
+  ASSERT_TRUE(DB::Open(options, &db).ok());
+  const std::pair<int, int> marked = RowMarkedTables(options.dir);
+  EXPECT_GT(marked.second, 0);
+  EXPECT_EQ(marked.first, marked.second);
+  check_contents();
+}
+
+// Tables written by builds that supported prefix blooms carry a prefix
+// filter block between the bloom filter and the index, described by the
+// footer's now-reserved fields, and a whole-key filter. This build
+// ignores the prefix block and never checks a row against that filter;
+// such a database must open, read, scan and compact as before.
+TEST_F(DBTest, OpensTablesCarryingAPrefixFilterBlock) {
+  CheckTablesOfAnEarlierBuild(options_, /*prefix_bloom_length=*/8);
+}
+
+// Tables of the last build before row filters: a whole-key filter and
+// reserved footer fields index_off, 0, 0.
+TEST_F(DBTest, OpensTablesCarryingAWholeKeyFilter) {
+  CheckTablesOfAnEarlierBuild(options_, /*prefix_bloom_length=*/0);
 }
 
 }  // namespace

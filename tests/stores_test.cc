@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -334,45 +335,92 @@ TEST(HBaseStoreTest, ScanKeyedCrossesRegionBoundariesOnce) {
   }
 }
 
+/// Where ReadReturnsOnlyItsOwnRowBesideNeighbours puts user1, user1x and
+/// user10, which share user1's prefix and sort right after it.
+enum class NeighbourLayout {
+  kOldestTwoFlushedNewestInMemtable,
+  kEachInItsOwnTable,
+};
+
+// A row read is a one-row scan that skips every table whose row bloom
+// rules the row out; it must still return exactly its own row's cells
+// wherever they sit.
 TEST(HBaseStoreTest, ReadReturnsOnlyItsOwnRowBesideNeighbours) {
-  ScopedTempDir dir("hbase-neighbours");
-  StoreOptions options;
-  options.base_dir = dir.path();
-  options.num_nodes = 1;
-  options.regions_per_server = 1;
-  options.memtable_bytes = 8 * 1024;  // filler rows flush to tables
-  std::unique_ptr<HBaseStore> store;
-  ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+  for (NeighbourLayout layout :
+       {NeighbourLayout::kOldestTwoFlushedNewestInMemtable,
+        NeighbourLayout::kEachInItsOwnTable}) {
+    SCOPED_TRACE(static_cast<int>(layout));
+    ScopedTempDir dir("hbase-neighbours");
+    StoreOptions options;
+    options.base_dir = dir.path();
+    options.num_nodes = 1;
+    options.regions_per_server = 1;
+    options.memtable_bytes = 8 * 1024;  // filler rows flush to tables
+    std::unique_ptr<HBaseStore> store;
+    ASSERT_TRUE(HBaseStore::Open(options, &store).ok());
+    int fillers = 0;
+    // 200 filler rows push everything written before them out of the
+    // memtable into tables; `check` runs after each one, so it sees every
+    // layout the flushes and compactions pass through.
+    auto flush_by_filler = [&](const std::function<void()>& check) {
+      for (int i = 0; i < 200; i++, fillers++) {
+        char key[16];
+        snprintf(key, sizeof(key), "filler%04d", fillers);
+        ASSERT_TRUE(store->Insert("t", key, MakeRecord(i)).ok());
+        check();
+      }
+    };
+    ycsb::Record got;
+    auto doomed_reads_not_found = [&]() {
+      EXPECT_TRUE(store->Read("t", "doomed", &got).IsNotFound());
+    };
+    const bool apart = layout == NeighbourLayout::kEachInItsOwnTable;
 
-  // user1x and user10 sort right after user1 and share its prefix; some
-  // of their cells sit in tables, some in the memtable.
-  ycsb::Record wide = MakeRecord(2);
-  wide.emplace_back("extra", "x");
-  ASSERT_TRUE(store->Insert("t", "user1x", wide).ok());
-  ASSERT_TRUE(store->Insert("t", "user10", MakeRecord(3)).ok());
-  for (int i = 0; i < 200; i++) {
-    char key[16];
-    snprintf(key, sizeof(key), "filler%03d", i);
-    ASSERT_TRUE(store->Insert("t", key, MakeRecord(i)).ok());
+    ycsb::Record wide = MakeRecord(2);
+    wide.emplace_back("extra", "x");
+    ASSERT_TRUE(store->Insert("t", "user1x", wide).ok());
+    if (apart) flush_by_filler([] {});
+    ASSERT_TRUE(store->Insert("t", "user10", MakeRecord(3)).ok());
+    // A row split between a table and the memtable: one updated cell and
+    // one new cell land above the flushed ones.
+    ASSERT_TRUE(store->Insert("t", "split", MakeRecord(5)).ok());
+    // A row whose tombstones flush into a table above its cells'.
+    ASSERT_TRUE(store->Insert("t", "doomed", MakeRecord(6)).ok());
+    flush_by_filler([] {});
+    ASSERT_TRUE(store->Delete("t", "doomed").ok());
+    flush_by_filler(doomed_reads_not_found);
+    ASSERT_TRUE(store->Insert("t", "user1", MakeRecord(1)).ok());
+    if (apart) flush_by_filler(doomed_reads_not_found);
+    ASSERT_TRUE(store->Update("t", "user10", MakeRecord(4)).ok());
+    ASSERT_TRUE(
+        store->Update("t", "split", {{"field1", "new"}, {"added", "a"}}).ok());
+
+    ASSERT_TRUE(store->Read("t", "user1", &got).ok());
+    EXPECT_EQ(got, MakeRecord(1));
+    ASSERT_TRUE(store->Read("t", "user10", &got).ok());
+    EXPECT_EQ(got, MakeRecord(4));
+    ASSERT_TRUE(store->Read("t", "user1x", &got).ok());
+    EXPECT_EQ(got.size(), wide.size());
+    EXPECT_TRUE(store->Read("t", "user", &got).IsNotFound());
+    ASSERT_TRUE(store->Read("t", "split", &got).ok());
+    ycsb::Record split = MakeRecord(5);
+    split[1].second = "new";
+    split.insert(split.begin(), {"added", "a"});  // cells read in key order
+    EXPECT_EQ(got, split);
+    EXPECT_TRUE(store->Read("t", "doomed", &got).IsNotFound());
+    EXPECT_TRUE(store->Delete("t", "doomed").IsNotFound());
+
+    // Deleting user1 leaves both neighbours whole.
+    ASSERT_TRUE(store->Delete("t", "user1").ok());
+    EXPECT_TRUE(store->Read("t", "user1", &got).IsNotFound());
+    ASSERT_TRUE(store->Read("t", "user1x", &got).ok());
+    EXPECT_EQ(got.size(), wide.size());
+    ASSERT_TRUE(store->Read("t", "user10", &got).ok());
+    EXPECT_EQ(got, MakeRecord(4));
+    EXPECT_TRUE(store->Delete("t", "user1").IsNotFound());
+    EXPECT_GE(store->NodeStats(0).num_flushes, apart ? 4u : 2u);
+    EXPECT_TRUE(store->VerifyIntegrity().ok());
   }
-  ASSERT_TRUE(store->Insert("t", "user1", MakeRecord(1)).ok());
-  ASSERT_TRUE(store->Update("t", "user10", MakeRecord(4)).ok());
-
-  ycsb::Record got;
-  ASSERT_TRUE(store->Read("t", "user1", &got).ok());
-  EXPECT_EQ(got, MakeRecord(1));
-  ASSERT_TRUE(store->Read("t", "user10", &got).ok());
-  EXPECT_EQ(got, MakeRecord(4));
-  EXPECT_TRUE(store->Read("t", "user", &got).IsNotFound());
-
-  // Deleting user1 leaves both neighbours whole.
-  ASSERT_TRUE(store->Delete("t", "user1").ok());
-  EXPECT_TRUE(store->Read("t", "user1", &got).IsNotFound());
-  ASSERT_TRUE(store->Read("t", "user1x", &got).ok());
-  EXPECT_EQ(got.size(), wide.size());
-  ASSERT_TRUE(store->Read("t", "user10", &got).ok());
-  EXPECT_EQ(got, MakeRecord(4));
-  EXPECT_TRUE(store->Delete("t", "user1").IsNotFound());
 }
 
 TEST(HBaseStoreTest, LastRegionRowReadsAndDeletes) {
